@@ -24,19 +24,27 @@
 //! and not-yet-due members cost nothing per round, which is what makes
 //! million-member runs affordable once most of the group has finished.
 //!
-//! With [`Simulation::with_engine_jobs`] the loop becomes a
-//! **fork-join** engine: each round the delivery worklist and the visit
-//! set are sharded into contiguous member-id ranges over
-//! `split_at_mut` protocol slices, stepped on scoped threads using the
-//! per-member RNG streams, and their outgoing sends and trace events
-//! are collected into per-shard buffers. A serial replay phase then
-//! applies the recorded sends to the network *in exactly the order the
-//! serial engine produced them*, so the single shared network RNG
-//! (loss and delay draws live inside `SimNetwork::send`) consumes an
-//! identical stream and the whole run — trace bytes included — is
-//! byte-identical at any thread count. See DESIGN.md §16.
+//! Every member step is split in two. A **step** (`Lane::step_message`,
+//! `Lane::step_visit`) makes the one protocol call for one member and
+//! returns a `StepRecord`; the member's gossip stays in the lane's
+//! `Outbox` and its trace events in the lane's `EventBuf`. An **apply**
+//! (`Books::apply_message`, `Books::apply_visit`) then does all of the
+//! engine's bookkeeping for that record — the `Deliver`/`Start`/
+//! `Terminate` events, the scheduling sets, the step count — and submits
+//! the sends to the network. The serial driver applies each record right
+//! after its step.
+//!
+//! With [`Simulation::with_engine_jobs`] a large round phase is
+//! **forked** instead: the delivery worklist and the visit set are
+//! sharded into contiguous member-id ranges over `split_at_mut` protocol
+//! slices, and scoped threads step their shard, staging each record with
+//! its sends. The join then replays the staged records through the same
+//! apply functions *in exactly the serial order*, so the single shared
+//! network RNG (loss and delay draws live inside `SimNetwork::send`)
+//! consumes an identical stream and the whole run — trace bytes
+//! included — is byte-identical at any thread count. See DESIGN.md §16.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 // lint:allow(D002) scoped fork-join over disjoint member ranges; the serial replay phase keeps every run byte-identical at any thread count (tests/engine_forkjoin.rs)
 use std::thread::scope as thread_scope;
 
@@ -64,14 +72,10 @@ pub const MAX_ENGINE_JOBS: usize = 64;
 /// latency heuristic.
 const PAR_MIN_ITEMS: usize = 128;
 
-/// Shard-owner sentinel for envelopes that are dropped before any
-/// worker sees them (dead destination — the serial loop `continue`s).
-const OWNER_NONE: u8 = u8::MAX;
-
-/// Worker-side event collector: protocol-level trace events recorded
-/// during a parallel phase, replayed into the real sink in serial
-/// order afterwards. Pure instrumentation — nothing reads it back
-/// during the phase, so D008 purity holds by construction.
+/// Step-side event collector: the protocol-level trace events of a
+/// step, emitted into the real sink by its apply. Pure instrumentation
+/// — nothing reads it back during the step, so D008 purity holds by
+/// construction.
 #[derive(Debug, Default)]
 struct EventBuf(Vec<TraceEvent>);
 
@@ -81,85 +85,414 @@ impl TraceSink for EventBuf {
     }
 }
 
-/// One outgoing message captured by a worker, applied to the network
-/// by the serial replay phase. `payload` is taken exactly once.
-#[derive(Debug)]
-struct SendRec<A> {
-    to: MemberId,
-    bytes: u32,
-    payload: Option<Payload<A>>,
+/// One outgoing message: destination, payload, wire size.
+type Outgoing<A> = (MemberId, Payload<A>, u32);
+
+/// A step's sends, as its apply receives them: the serial driver's
+/// outbox, or the sends a fork-join worker staged for the replay.
+///
+/// The sends are pushed into a closure rather than pulled through an
+/// iterator argument: an outbox `Drain` passed by value into the apply
+/// is kept on the stack and dropped out of line, about 5 ns on every
+/// step, sends or not.
+trait Sends<A> {
+    /// Hand every send to `send` in emission order, consuming them.
+    fn each(self, send: impl FnMut(MemberId, Payload<A>, u32));
 }
 
-/// Outcome of one parallel protocol call (an `on_message` delivery or
-/// an `on_round` visit), replayed serially in original order.
+impl<A: WireAggregate> Sends<A> for &mut Outbox<A> {
+    // lint:hot — sizes each payload for the network as it leaves.
+    #[inline(always)]
+    fn each(self, mut send: impl FnMut(MemberId, Payload<A>, u32)) {
+        for (to, payload) in self.drain() {
+            let bytes = payload.wire_size();
+            send(to, payload, bytes);
+        }
+    }
+}
+
+/// The next `count` sends in a shard's staging queue.
+struct Staged<'a, A> {
+    queue: &'a mut VecDeque<Outgoing<A>>,
+    count: u32,
+}
+
+impl<A> Sends<A> for Staged<'_, A> {
+    // lint:hot — the staged sends of one record, front of the queue.
+    #[inline(always)]
+    fn each(self, mut send: impl FnMut(MemberId, Payload<A>, u32)) {
+        for _ in 0..self.count {
+            let (to, payload, bytes) = self.queue.pop_front().expect("one staged send per count");
+            send(to, payload, bytes);
+        }
+    }
+}
+
+/// Outcome of one member step (an `on_message` delivery or an
+/// `on_round` visit): what its apply needs besides the sends and the
+/// protocol's own trace events.
 #[derive(Debug, Clone, Copy, Default)]
 struct StepRecord {
     member: MemberId,
     /// Delivery only: sender and send round for the `Deliver` event.
     from: MemberId,
     sent_at: Round,
-    /// Visit only: the member was dead (no call happened).
-    dead: bool,
-    /// Visit only: the protocol was already done at the visit.
-    pre_done: bool,
-    /// Delivery only: done state before `on_message`.
+    /// Done state before the step; a visit to a done member makes no
+    /// protocol call.
     was_done: bool,
-    /// Done state after the protocol call.
+    /// Done state after the step.
     now_done: bool,
-    /// Completeness at termination (traced runs only; 0.0 otherwise,
-    /// matching the serial engine's `map_or(0.0, ..)`).
+    /// Completeness at termination (traced runs only; 0.0 otherwise).
     completeness: f64,
+    /// The step's events in its lane's `EventBuf`, which the fork-join
+    /// replay slices out, and its number of sends once staged.
     ev_start: u32,
     ev_len: u32,
-    send_start: u32,
     send_len: u32,
 }
 
-/// One worker's per-round scratch, owned by `drive` and reused across
+/// Step scratch: the gossip and trace events of the step in progress.
+/// The serial driver owns one lane; each fork-join shard owns another.
+#[derive(Debug)]
+struct Lane<A> {
+    out: Outbox<A>,
+    events: EventBuf,
+}
+
+impl<A: WireAggregate> Lane<A> {
+    fn new() -> Self {
+        Lane {
+            out: Outbox::new(),
+            events: EventBuf::default(),
+        }
+    }
+
+    // lint:hot — the engine's one `on_message` call site. The step and
+    // apply functions are forced inline: out of line, they add 20–30% to
+    // the engine's own per-step cost (measured with a no-op protocol).
+    #[inline(always)]
+    fn step_message<P: AggregationProtocol<A>, S: TraceSink>(
+        &mut self,
+        round: Round,
+        n: usize,
+        protocol: &mut P,
+        stream: &mut DetRng,
+        env: Envelope<Payload<A>>,
+    ) -> StepRecord {
+        let Envelope {
+            from,
+            to,
+            sent_at,
+            payload,
+        } = env;
+        let rec = StepRecord {
+            member: to,
+            from,
+            sent_at,
+            was_done: protocol.is_done(),
+            ..StepRecord::default()
+        };
+        self.step::<P, S>(rec, round, n, protocol, stream, |p, ctx, out| {
+            p.on_message(from, payload, ctx, out);
+        })
+    }
+
+    // lint:hot — the engine's one `on_round` call site; a member that is
+    // already done is not called.
+    #[inline(always)]
+    fn step_visit<P: AggregationProtocol<A>, S: TraceSink>(
+        &mut self,
+        round: Round,
+        n: usize,
+        member: MemberId,
+        protocol: &mut P,
+        stream: &mut DetRng,
+    ) -> StepRecord {
+        let done = protocol.is_done();
+        let rec = StepRecord {
+            member,
+            was_done: done,
+            now_done: done,
+            ..StepRecord::default()
+        };
+        if done {
+            return rec;
+        }
+        self.step::<P, S>(rec, round, n, protocol, stream, |p, ctx, out| {
+            p.on_round(ctx, out);
+        })
+    }
+
+    // lint:hot — one protocol call under a context traced into the lane.
+    #[inline(always)]
+    fn step<P: AggregationProtocol<A>, S: TraceSink>(
+        &mut self,
+        mut rec: StepRecord,
+        round: Round,
+        n: usize,
+        protocol: &mut P,
+        stream: &mut DetRng,
+        call: impl FnOnce(&mut P, &mut Ctx<'_>, &mut Outbox<A>),
+    ) -> StepRecord {
+        rec.ev_start = self.events.0.len() as u32;
+        {
+            let mut ctx = if S::ENABLED {
+                Ctx::traced(round, stream, &mut self.events)
+            } else {
+                Ctx::new(round, stream)
+            };
+            call(protocol, &mut ctx, &mut self.out);
+        }
+        rec.ev_len = self.events.0.len() as u32 - rec.ev_start;
+        rec.now_done = protocol.is_done();
+        if S::ENABLED && !rec.was_done && rec.now_done {
+            rec.completeness = protocol.estimate().map_or(0.0, |est| est.completeness(n));
+        }
+        rec
+    }
+}
+
+/// One fork-join worker's scratch, owned by `drive` and reused across
 /// rounds so the steady state allocates nothing.
 #[derive(Debug)]
 struct ShardBuf<A> {
     /// Delivery worklist, enqueued in global envelope order.
     inbox: Vec<Envelope<Payload<A>>>,
-    records: Vec<StepRecord>,
-    events: EventBuf,
-    sends: Vec<SendRec<A>>,
-    out: Outbox<A>,
-    /// Replay cursor into `records`.
-    cursor: usize,
+    lane: Lane<A>,
+    /// Staged steps and their sends, in step order; the replay pops
+    /// them from the front.
+    records: VecDeque<StepRecord>,
+    sends: VecDeque<Outgoing<A>>,
 }
 
-impl<A> ShardBuf<A> {
+impl<A: WireAggregate> ShardBuf<A> {
     fn new() -> Self {
         ShardBuf {
             inbox: Vec::new(),
-            records: Vec::new(),
-            events: EventBuf::default(),
-            sends: Vec::new(),
-            out: Outbox::new(),
-            cursor: 0,
+            lane: Lane::new(),
+            records: VecDeque::new(),
+            sends: VecDeque::new(),
         }
     }
 
-    fn reset(&mut self) {
-        self.records.clear();
-        self.events.0.clear();
-        self.sends.clear();
-        self.cursor = 0;
+    // lint:hot — worker side of a fork-join delivery phase: steps on an
+    // exclusively owned member range, staged for the ordered replay.
+    fn deliver<P: AggregationProtocol<A>, S: TraceSink>(
+        &mut self,
+        round: Round,
+        n: usize,
+        base: usize,
+        protocols: &mut [P],
+        rngs: &mut [DetRng],
+    ) {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        for env in inbox.drain(..) {
+            let idx = env.to.index() - base;
+            let rec =
+                self.lane
+                    .step_message::<P, S>(round, n, &mut protocols[idx], &mut rngs[idx], env);
+            self.stage(rec);
+        }
+        self.inbox = inbox;
+    }
+
+    // lint:hot — worker side of a fork-join visit phase.
+    fn visit<P: AggregationProtocol<A>, S: TraceSink>(
+        &mut self,
+        round: Round,
+        n: usize,
+        base: usize,
+        ids: &[u32],
+        protocols: &mut [P],
+        rngs: &mut [DetRng],
+    ) {
+        for &id in ids {
+            let idx = id as usize - base;
+            let rec = self.lane.step_visit::<P, S>(
+                round,
+                n,
+                MemberId(id),
+                &mut protocols[idx],
+                &mut rngs[idx],
+            );
+            self.stage(rec);
+        }
+    }
+
+    // lint:hot — wire sizes are computed on the worker; the payloads
+    // wait here for the replay.
+    fn stage(&mut self, mut rec: StepRecord) {
+        rec.send_len = self.lane.out.len() as u32;
+        let sends = &mut self.sends;
+        self.lane
+            .out
+            .each(|to, payload, bytes| sends.push_back((to, payload, bytes)));
+        self.records.push_back(rec);
+    }
+
+    /// The next staged step, with its trace events and its sends.
+    fn replay_next(&mut self) -> Option<(StepRecord, &[TraceEvent], Staged<'_, A>)> {
+        let rec = self.records.pop_front()?;
+        let events = &self.lane.events.0[rec.ev_start as usize..][..rec.ev_len as usize];
+        let sends = Staged {
+            queue: &mut self.sends,
+            count: rec.send_len,
+        };
+        Some((rec, events, sends))
+    }
+}
+
+/// The engine's books: the network and the scheduling state. Within a
+/// round phase only the apply functions update them, one step record at
+/// a time in serial order.
+#[derive(Debug)]
+struct Books<A> {
+    net: SimNetwork<Payload<A>>,
+    /// Members that started, officially or by a gossip wake-up.
+    started: DenseBitSet,
+    /// Started and not yet done: the members a visit can do anything
+    /// for.
+    active: DenseBitSet,
+    /// Members waiting for their start round (or an earlier gossip
+    /// wake-up).
+    unstarted: DenseBitSet,
+    /// Unstarted members whose start round has arrived; they start at
+    /// their next alive visit.
+    due: DenseBitSet,
+    protocol_steps: u64,
+    /// No member stepped this round and no alive member waits to start.
+    all_settled: bool,
+}
+
+impl<A: WireAggregate> Books<A> {
+    // lint:hot — bookkeeping for one delivery; a protocol message wakes
+    // a member that has not started yet.
+    #[inline(always)]
+    fn apply_message<S: TraceSink>(
+        &mut self,
+        round: Round,
+        rec: &StepRecord,
+        events: &[TraceEvent],
+        sends: impl Sends<A>,
+        sink: &mut S,
+    ) {
+        let to = rec.member.index();
+        if S::ENABLED {
+            sink.record(TraceEvent::Deliver {
+                from: rec.from,
+                to: rec.member,
+                round,
+                sent_at: rec.sent_at,
+            });
+            if !self.started.contains(to) {
+                sink.record(TraceEvent::Start {
+                    member: rec.member,
+                    round,
+                });
+            }
+        }
+        if self.started.insert(to) {
+            self.unstarted.remove(to);
+            self.due.remove(to);
+        }
+        self.settle(round, rec, events, sends, sink);
+    }
+
+    // lint:hot — bookkeeping for one visit to an alive member.
+    #[inline(always)]
+    fn apply_visit<S: TraceSink>(
+        &mut self,
+        round: Round,
+        rec: &StepRecord,
+        events: &[TraceEvent],
+        sends: impl Sends<A>,
+        sink: &mut S,
+    ) {
+        let i = rec.member.index();
+        if self.unstarted.contains(i) {
+            // due member starting at its official round
+            self.unstarted.remove(i);
+            self.due.remove(i);
+            self.started.insert(i);
+            if S::ENABLED {
+                sink.record(TraceEvent::Start {
+                    member: rec.member,
+                    round,
+                });
+            }
+        }
+        if !rec.was_done {
+            self.all_settled = false;
+            self.protocol_steps += 1;
+        }
+        self.settle(round, rec, events, sends, sink);
+    }
+
+    // lint:hot — the tail both applies share: the active set, the
+    // step's own events, termination, then its sends in order. This is
+    // the only place a step's sends reach the network.
+    #[inline(always)]
+    fn settle<S: TraceSink>(
+        &mut self,
+        round: Round,
+        rec: &StepRecord,
+        events: &[TraceEvent],
+        sends: impl Sends<A>,
+        sink: &mut S,
+    ) {
+        let from = rec.member;
+        // a message can finish a member (drop it from the visit set) or
+        // re-arm a finished one (put it back)
+        if rec.now_done {
+            self.active.remove(from.index());
+        } else {
+            self.active.insert(from.index());
+        }
+        if S::ENABLED {
+            for ev in events {
+                sink.record(*ev);
+            }
+            if !rec.was_done && rec.now_done {
+                sink.record(TraceEvent::Terminate {
+                    member: from,
+                    round,
+                    completeness: rec.completeness,
+                });
+            }
+        }
+        sends.each(|to, payload, bytes| {
+            let outcome = self.net.send(round, from, to, payload, bytes);
+            if S::ENABLED {
+                sink.record(TraceEvent::Send {
+                    from,
+                    to,
+                    round,
+                    bytes: u64::from(bytes),
+                });
+                match outcome {
+                    SendOutcome::Queued { .. } => {}
+                    SendOutcome::DroppedLoss => {
+                        sink.record(TraceEvent::DropLoss { from, to, round });
+                    }
+                    SendOutcome::DroppedBandwidth => {
+                        sink.record(TraceEvent::DropBandwidth { from, to, round });
+                    }
+                }
+            }
+        });
     }
 }
 
 /// The assembled simulation for one run.
 #[derive(Debug)]
 pub struct Simulation<A, P> {
-    net: SimNetwork<Payload<A>>,
     protocols: Vec<P>,
     failure: FailureProcess,
     rngs: Vec<DetRng>,
     true_value: f64,
     max_rounds: Round,
     start_rounds: Option<Vec<Round>>,
-    started: DenseBitSet,
+    books: Books<A>,
     engine_jobs: usize,
 }
 
@@ -187,20 +520,27 @@ where
         max_rounds: Round,
     ) -> Self {
         assert!(!protocols.is_empty(), "simulation needs members");
+        let n = protocols.len();
         let mut net = net;
-        net.reserve_nodes(protocols.len());
+        net.reserve_nodes(n);
         let root = DetRng::seeded(seed).fork(0x6D62_7273); // "mbrs"
-        let rngs = (0..protocols.len()).map(|i| root.fork(i as u64)).collect();
-        let started = (0..protocols.len()).collect();
+        let rngs = (0..n).map(|i| root.fork(i as u64)).collect();
         Simulation {
-            net,
             protocols,
             failure,
             rngs,
             true_value,
             max_rounds,
             start_rounds: None,
-            started,
+            books: Books {
+                net,
+                started: (0..n).collect(),
+                active: DenseBitSet::with_capacity(n),
+                unstarted: DenseBitSet::with_capacity(n),
+                due: DenseBitSet::with_capacity(n),
+                protocol_steps: 0,
+                all_settled: false,
+            },
             engine_jobs: 1,
         }
     }
@@ -236,7 +576,7 @@ where
             self.protocols.len(),
             "one start round per member"
         );
-        self.started = start_rounds
+        self.books.started = start_rounds
             .iter()
             .enumerate()
             .filter(|&(_, &r)| r == 0)
@@ -277,60 +617,51 @@ where
     // every round, so allocations must be per-run scratch, not per-round.
     fn drive<S: TraceSink>(&mut self, sink: &mut S) -> RunReport {
         let n = self.protocols.len();
-        let mut out = Outbox::new();
+        let mut lane = Lane::new();
         // Delivery scratch, reused every round: `drain_into` refills it
         // in place, so the steady state is zero per-round allocation.
         let mut delivery = Vec::new(); // lint:allow(D009) per-run scratch, refilled in place each round
         let mut round: Round = 0;
-        let mut protocol_steps: u64 = 0;
 
-        // Event-driven scheduling state. `active` = started and not yet
-        // done: the members an `on_round` visit can do anything for.
-        // `unstarted` members wait for their start round (or an earlier
-        // gossip wake-up); once the round arrives they move to `due`
-        // and are started at their next alive visit. A bucket queue
+        // Event-driven scheduling state (see `Books`): a bucket queue
         // keyed by start round feeds `due` without per-round scans.
-        let mut active = DenseBitSet::with_capacity(n);
-        let mut unstarted = DenseBitSet::with_capacity(n);
-        let mut due = DenseBitSet::with_capacity(n);
+        let books = &mut self.books;
         let mut start_buckets: BTreeMap<Round, Vec<u32>> = BTreeMap::new();
-        for i in 0..n {
-            if self.started.contains(i) {
-                if !self.protocols[i].is_done() {
-                    active.insert(i);
-                }
-            } else {
-                unstarted.insert(i);
+        for (i, protocol) in self.protocols.iter().enumerate() {
+            if !books.started.contains(i) {
+                books.unstarted.insert(i);
+            } else if !protocol.is_done() {
+                books.active.insert(i);
             }
         }
         if let Some(starts) = &self.start_rounds {
             for (i, &r) in starts.iter().enumerate() {
-                if unstarted.contains(i) {
+                if books.unstarted.contains(i) {
                     start_buckets.entry(r).or_default().push(i as u32);
                 }
             }
         }
-        // Visit scratch: the ascending union of active ∪ due, rebuilt
-        // each round so the sets can be edited while visiting.
-        let mut visit: Vec<u32> = Vec::new(); // lint:allow(D009) per-run scratch, reused across rounds
-
-        // Fork-join scratch: one buffer set per engine thread plus the
-        // per-envelope shard-owner table, allocated once per run and
-        // reused every round.
-        let jobs = self.engine_jobs.clamp(1, MAX_ENGINE_JOBS).min(n);
-        let mut shards: Vec<ShardBuf<A>> = (0..if jobs > 1 { jobs } else { 0 })
-            .map(|_| ShardBuf::new())
-            .collect();
-        let mut owner: Vec<u8> = Vec::new(); // lint:allow(D009) per-run scratch, refilled in place each round
-
         if S::ENABLED {
-            for i in self.started.iter() {
+            for i in books.started.iter() {
                 sink.record(TraceEvent::Start {
                     member: MemberId(i as u32),
                     round: 0,
                 });
             }
         }
+        // Visit scratch: the ascending alive members of active ∪ due,
+        // rebuilt each round so the sets can be edited while visiting.
+        let mut visit: Vec<u32> = Vec::new(); // lint:allow(D009) per-run scratch, reused across rounds
+
+        // Fork-join scratch: one buffer set per engine thread plus the
+        // per-envelope shard-owner table, allocated once per run and
+        // reused every round.
+        let jobs = self.engine_jobs.min(n);
+        let mut shards: Vec<ShardBuf<A>> = (0..if jobs > 1 { jobs } else { 0 })
+            .map(|_| ShardBuf::new())
+            .collect();
+        let mut owner: Vec<u8> = Vec::new(); // lint:allow(D009) per-run scratch, refilled in place each round
+
         loop {
             // 1. crash injection
             let liveness = self.failure.step(round);
@@ -352,156 +683,77 @@ where
                 let (_, ids) = start_buckets.pop_first().expect("checked non-empty");
                 for id in ids {
                     // skip anyone gossip already woke up
-                    if unstarted.contains(id as usize) {
-                        due.insert(id as usize);
+                    if self.books.unstarted.contains(id as usize) {
+                        self.books.due.insert(id as usize);
                     }
                 }
             }
 
-            // 2. deliver due messages to alive members; a protocol
-            //    message wakes a member that has not started yet
-            self.net.drain_into(round, &mut delivery);
+            // 2. deliver due messages to alive members
+            self.books.net.drain_into(round, &mut delivery);
             if jobs > 1 && delivery.len() >= PAR_MIN_ITEMS {
-                self.deliver_parallel(
-                    round,
-                    n,
-                    &mut delivery,
-                    &mut unstarted,
-                    &mut due,
-                    &mut active,
-                    &mut shards,
-                    &mut owner,
-                    sink,
-                );
+                self.deliver_parallel(round, &mut delivery, &mut shards, &mut owner, sink);
             } else {
                 for env in delivery.drain(..) {
-                    let to = env.to.index();
                     if !self.failure.is_alive(env.to) {
                         continue;
                     }
-                    if S::ENABLED {
-                        sink.record(TraceEvent::Deliver {
-                            from: env.from,
-                            to: env.to,
-                            round,
-                            sent_at: env.sent_at,
-                        });
-                        if !self.started.contains(to) {
-                            sink.record(TraceEvent::Start {
-                                member: env.to,
-                                round,
-                            });
-                        }
-                    }
-                    if self.started.insert(to) {
-                        unstarted.remove(to);
-                        due.remove(to);
-                    }
-                    let was_done = self.protocols[to].is_done();
-                    {
-                        let mut ctx = if S::ENABLED {
-                            Ctx::traced(round, &mut self.rngs[to], sink)
-                        } else {
-                            Ctx::new(round, &mut self.rngs[to])
-                        };
-                        self.protocols[to].on_message(env.from, env.payload, &mut ctx, &mut out);
-                    }
-                    // a message can finish a member (drop it from the visit
-                    // set) or re-arm a finished one (put it back)
-                    if self.protocols[to].is_done() {
-                        active.remove(to);
-                    } else {
-                        active.insert(to);
-                    }
-                    if S::ENABLED && !was_done && self.protocols[to].is_done() {
-                        sink.record(TraceEvent::Terminate {
-                            member: env.to,
-                            round,
-                            completeness: self.protocols[to]
-                                .estimate()
-                                .map_or(0.0, |est| est.completeness(n)),
-                        });
-                    }
-                    Self::flush(&mut self.net, round, env.to, &mut out, sink);
+                    let to = env.to.index();
+                    let rec = lane.step_message::<P, S>(
+                        round,
+                        n,
+                        &mut self.protocols[to],
+                        &mut self.rngs[to],
+                        env,
+                    );
+                    let events = &lane.events.0;
+                    self.books
+                        .apply_message(round, &rec, events, &mut lane.out, sink);
+                    lane.events.0.clear();
                 }
             }
 
             // 3.+4. step alive, started, unfinished members — visiting
             // only the union of active and due-to-start members, in
-            // ascending id order (the same order the dense scan used)
-            let mut all_settled = true;
+            // ascending id order (the same order the dense scan used).
+            // Dead members are skipped but stay active/due, so they
+            // resume on recovery.
+            let (books, failure) = (&mut self.books, &self.failure);
             // an alive member still waiting for its start round keeps
             // the run open, even though nothing visits it yet
-            for i in unstarted.iter() {
-                if !due.contains(i) && self.failure.is_alive(MemberId(i as u32)) {
-                    all_settled = false;
-                    break;
-                }
-            }
+            books.all_settled = !books
+                .unstarted
+                .iter()
+                .any(|i| !books.due.contains(i) && failure.is_alive(MemberId(i as u32)));
             visit.clear();
-            visit.extend(active.iter_union(&due).map(|i| i as u32));
+            visit.extend(
+                books
+                    .active
+                    .iter_union(&books.due)
+                    .map(|i| i as u32)
+                    .filter(|&i| failure.is_alive(MemberId(i))),
+            );
             if jobs > 1 && visit.len() >= PAR_MIN_ITEMS {
-                self.visit_parallel(
-                    round,
-                    n,
-                    &visit,
-                    &mut unstarted,
-                    &mut due,
-                    &mut active,
-                    &mut shards,
-                    &mut all_settled,
-                    &mut protocol_steps,
-                    sink,
-                );
+                self.visit_parallel(round, &visit, &mut shards, sink);
             } else {
                 for &iv in &visit {
                     let i = iv as usize;
-                    let me = MemberId(iv);
-                    if !self.failure.is_alive(me) {
-                        continue; // stays active/due; resumes on recovery
-                    }
-                    if unstarted.contains(i) {
-                        // due member starting at its official round
-                        unstarted.remove(i);
-                        due.remove(i);
-                        self.started.insert(i);
-                        if S::ENABLED {
-                            sink.record(TraceEvent::Start { member: me, round });
-                        }
-                    }
-                    if self.protocols[i].is_done() {
-                        active.remove(i);
-                        continue;
-                    }
-                    active.insert(i);
-                    all_settled = false;
-                    protocol_steps += 1;
-                    {
-                        let mut ctx = if S::ENABLED {
-                            Ctx::traced(round, &mut self.rngs[i], sink)
-                        } else {
-                            Ctx::new(round, &mut self.rngs[i])
-                        };
-                        self.protocols[i].on_round(&mut ctx, &mut out);
-                    }
-                    if self.protocols[i].is_done() {
-                        active.remove(i);
-                        if S::ENABLED {
-                            sink.record(TraceEvent::Terminate {
-                                member: me,
-                                round,
-                                completeness: self.protocols[i]
-                                    .estimate()
-                                    .map_or(0.0, |est| est.completeness(n)),
-                            });
-                        }
-                    }
-                    Self::flush(&mut self.net, round, me, &mut out, sink);
+                    let rec = lane.step_visit::<P, S>(
+                        round,
+                        n,
+                        MemberId(iv),
+                        &mut self.protocols[i],
+                        &mut self.rngs[i],
+                    );
+                    let events = &lane.events.0;
+                    self.books
+                        .apply_visit(round, &rec, events, &mut lane.out, sink);
+                    lane.events.0.clear();
                 }
             }
 
             round += 1;
-            if all_settled || round >= self.max_rounds {
+            if self.books.all_settled || round >= self.max_rounds {
                 break;
             }
         }
@@ -532,90 +784,48 @@ where
             rounds: round,
             outcomes,
             true_value: self.true_value,
-            net: self.net.stats().clone(), // lint:allow(D009) once at end of run, building the report
-            protocol_steps,
+            net: self.books.net.stats().clone(), // lint:allow(D009) once at end of run, building the report
+            protocol_steps: self.books.protocol_steps,
         }
     }
 
-    // lint:hot — per-member outbox fan-out, called for every visit.
-    fn flush<S: TraceSink>(
-        net: &mut SimNetwork<Payload<A>>,
-        round: Round,
-        from: MemberId,
-        out: &mut Outbox<A>,
-        sink: &mut S,
-    ) {
-        for (to, payload) in out.drain() {
-            let bytes = payload.wire_size();
-            let outcome = net.send(round, from, to, payload, bytes);
-            if S::ENABLED {
-                sink.record(TraceEvent::Send {
-                    from,
-                    to,
-                    round,
-                    bytes: bytes as u64,
-                });
-                match outcome {
-                    SendOutcome::Queued { .. } => {}
-                    SendOutcome::DroppedLoss => {
-                        sink.record(TraceEvent::DropLoss { from, to, round });
-                    }
-                    SendOutcome::DroppedBandwidth => {
-                        sink.record(TraceEvent::DropBandwidth { from, to, round });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Parallel delivery phase: partition this round's envelopes by
-    /// destination shard, run each shard's `on_message` calls on scoped
-    /// threads, then replay the recorded outcomes serially in the
-    /// original envelope order. Every `net.send` — the only consumer of
-    /// the shared network RNG — happens in the replay, so the RNG
-    /// stream, the trace byte stream, and all engine bookkeeping are
-    /// exactly the serial engine's.
+    /// Fork-join delivery phase: partition this round's envelopes by
+    /// destination shard, step each shard's deliveries on a scoped
+    /// thread, then apply the staged records in the original envelope
+    /// order.
     // lint:hot — fork-join delivery path; all scratch lives in `shards`.
-    #[allow(clippy::too_many_arguments)]
     fn deliver_parallel<S: TraceSink>(
         &mut self,
         round: Round,
-        n: usize,
         delivery: &mut Vec<Envelope<Payload<A>>>,
-        unstarted: &mut DenseBitSet,
-        due: &mut DenseBitSet,
-        active: &mut DenseBitSet,
         shards: &mut [ShardBuf<A>],
         owner: &mut Vec<u8>,
         sink: &mut S,
     ) {
-        let jobs = shards.len();
+        let Simulation {
+            protocols,
+            rngs,
+            failure,
+            books,
+            ..
+        } = self;
+        let (n, jobs) = (protocols.len(), shards.len());
         owner.clear();
         for shard in shards.iter_mut() {
-            shard.reset();
+            shard.lane.events.0.clear();
         }
         // Partition by destination shard; dead destinations drop here,
-        // exactly where the serial loop drops them (`is_alive` is a
-        // pure read — no RNG, no mutation).
+        // exactly where the serial loop drops them.
         for env in delivery.drain(..) {
-            if !self.failure.is_alive(env.to) {
-                owner.push(OWNER_NONE);
-                continue;
+            if failure.is_alive(env.to) {
+                let w = env.to.index() * jobs / n;
+                owner.push(w as u8);
+                shards[w].inbox.push(env);
             }
-            let w = env.to.index() * jobs / n;
-            owner.push(w as u8);
-            shards[w].inbox.push(env);
         }
 
         // Fork: each worker exclusively owns a contiguous protocol/rng
         // range (`split_at_mut`), so no shared state is touched.
-        let Simulation {
-            protocols,
-            rngs,
-            net,
-            started,
-            ..
-        } = self;
         thread_scope(|scope| {
             let mut prot_rest: &mut [P] = protocols;
             let mut rng_rest: &mut [DetRng] = rngs;
@@ -628,104 +838,47 @@ where
                 rng_rest = rr;
                 if !buf.inbox.is_empty() {
                     let base = lo;
-                    scope.spawn(move || {
-                        Self::shard_deliver::<S>(round, n, base, prots, prngs, buf);
-                    });
+                    scope.spawn(move || buf.deliver::<P, S>(round, n, base, prots, prngs));
                 }
                 lo = hi;
             }
         });
 
-        // Join + serial replay in original envelope order.
+        // Join: apply in original envelope order.
         for &w in owner.iter() {
-            if w == OWNER_NONE {
-                continue;
-            }
-            let buf = &mut shards[w as usize];
-            let rec = buf.records[buf.cursor];
-            buf.cursor += 1;
-            let to = rec.member.index();
-            if S::ENABLED {
-                sink.record(TraceEvent::Deliver {
-                    from: rec.from,
-                    to: rec.member,
-                    round,
-                    sent_at: rec.sent_at,
-                });
-                if !started.contains(to) {
-                    sink.record(TraceEvent::Start {
-                        member: rec.member,
-                        round,
-                    });
-                }
-            }
-            if started.insert(to) {
-                unstarted.remove(to);
-                due.remove(to);
-            }
-            if S::ENABLED {
-                for ev in &buf.events.0[rec.ev_start as usize..(rec.ev_start + rec.ev_len) as usize]
-                {
-                    sink.record(*ev);
-                }
-            }
-            if rec.now_done {
-                active.remove(to);
-            } else {
-                active.insert(to);
-            }
-            if S::ENABLED && !rec.was_done && rec.now_done {
-                sink.record(TraceEvent::Terminate {
-                    member: rec.member,
-                    round,
-                    completeness: rec.completeness,
-                });
-            }
-            Self::replay_sends(net, round, rec, buf, sink);
+            let (rec, events, sends) = shards[w as usize]
+                .replay_next()
+                .expect("one staged step per owned envelope");
+            books.apply_message(round, &rec, events, sends, sink);
         }
     }
 
-    /// Parallel visit phase: chunk the ascending visit set into
-    /// contiguous ranges, run `on_round` for each chunk on scoped
-    /// threads, then replay outcomes serially in visit order. Engine
-    /// bookkeeping (start/terminate, bitsets, `protocol_steps`) happens
-    /// only in the replay, mirroring the serial loop line for line.
+    /// Fork-join visit phase: chunk the ascending visit set into
+    /// contiguous ranges, step each chunk on a scoped thread, then apply
+    /// the staged records in visit order.
     // lint:hot — fork-join visit path; all scratch lives in `shards`.
-    #[allow(clippy::too_many_arguments)]
     fn visit_parallel<S: TraceSink>(
         &mut self,
         round: Round,
-        n: usize,
         visit: &[u32],
-        unstarted: &mut DenseBitSet,
-        due: &mut DenseBitSet,
-        active: &mut DenseBitSet,
         shards: &mut [ShardBuf<A>],
-        all_settled: &mut bool,
-        protocol_steps: &mut u64,
         sink: &mut S,
     ) {
-        let jobs = shards.len();
-        for shard in shards.iter_mut() {
-            shard.reset();
-        }
         let Simulation {
             protocols,
             rngs,
-            net,
-            failure,
-            started,
+            books,
             ..
         } = self;
+        let (n, jobs, v) = (protocols.len(), shards.len(), visit.len());
         // Chunk the ascending visit set evenly by count; each chunk's
         // id span yields the `split_at_mut` boundary for its worker.
-        let v = visit.len();
-        let failure: &FailureProcess = failure;
         thread_scope(|scope| {
             let mut prot_rest: &mut [P] = protocols;
             let mut rng_rest: &mut [DetRng] = rngs;
-            let mut base = 0usize;
+            let mut lo = 0usize;
             for (c, buf) in shards.iter_mut().enumerate() {
+                buf.lane.events.0.clear();
                 let ids = &visit[c * v / jobs..(c + 1) * v / jobs];
                 // the protocol slice runs to just past the chunk's last
                 // id; the final chunk takes the rest of the group
@@ -734,225 +887,20 @@ where
                 } else {
                     *ids.last().expect("chunks are non-empty when v >= jobs") as usize + 1
                 };
-                let (prots, pr) = prot_rest.split_at_mut(hi - base);
-                let (prngs, rr) = rng_rest.split_at_mut(hi - base);
+                let (prots, pr) = prot_rest.split_at_mut(hi - lo);
+                let (prngs, rr) = rng_rest.split_at_mut(hi - lo);
                 prot_rest = pr;
                 rng_rest = rr;
-                let lo = base;
-                scope.spawn(move || {
-                    Self::shard_visit::<S>(round, n, lo, ids, prots, prngs, failure, buf);
-                });
-                base = hi;
+                let base = lo;
+                scope.spawn(move || buf.visit::<P, S>(round, n, base, ids, prots, prngs));
+                lo = hi;
             }
         });
 
-        // Join + serial replay in visit (ascending member-id) order.
+        // Join: apply in visit (ascending member-id) order.
         for buf in shards.iter_mut() {
-            let mut k = 0;
-            while k < buf.records.len() {
-                let rec = buf.records[k];
-                k += 1;
-                if rec.dead {
-                    continue; // stays active/due; resumes on recovery
-                }
-                let i = rec.member.index();
-                if unstarted.contains(i) {
-                    // due member starting at its official round
-                    unstarted.remove(i);
-                    due.remove(i);
-                    started.insert(i);
-                    if S::ENABLED {
-                        sink.record(TraceEvent::Start {
-                            member: rec.member,
-                            round,
-                        });
-                    }
-                }
-                if rec.pre_done {
-                    active.remove(i);
-                    continue;
-                }
-                active.insert(i);
-                *all_settled = false;
-                *protocol_steps += 1;
-                if S::ENABLED {
-                    for ev in
-                        &buf.events.0[rec.ev_start as usize..(rec.ev_start + rec.ev_len) as usize]
-                    {
-                        sink.record(*ev);
-                    }
-                }
-                if rec.now_done {
-                    active.remove(i);
-                    if S::ENABLED {
-                        sink.record(TraceEvent::Terminate {
-                            member: rec.member,
-                            round,
-                            completeness: rec.completeness,
-                        });
-                    }
-                }
-                Self::replay_sends(net, round, rec, buf, sink);
-            }
-        }
-    }
-
-    // lint:hot — worker side of the fork-join delivery phase: protocol
-    // calls on an exclusively owned member range; outcomes are recorded,
-    // never applied — all shared-state bookkeeping waits for the replay.
-    fn shard_deliver<S: TraceSink>(
-        round: Round,
-        n: usize,
-        base: usize,
-        protocols: &mut [P],
-        rngs: &mut [DetRng],
-        buf: &mut ShardBuf<A>,
-    ) {
-        let mut inbox = std::mem::take(&mut buf.inbox);
-        for env in inbox.drain(..) {
-            let member = env.to;
-            let from = env.from;
-            let sent_at = env.sent_at;
-            let idx = member.index() - base;
-            let was_done = protocols[idx].is_done();
-            let ev_start = buf.events.0.len() as u32;
-            {
-                let mut ctx = if S::ENABLED {
-                    Ctx::traced(round, &mut rngs[idx], &mut buf.events)
-                } else {
-                    Ctx::new(round, &mut rngs[idx])
-                };
-                protocols[idx].on_message(from, env.payload, &mut ctx, &mut buf.out);
-            }
-            let now_done = protocols[idx].is_done();
-            let mut rec = StepRecord {
-                member,
-                from,
-                sent_at,
-                was_done,
-                now_done,
-                ev_start,
-                ev_len: buf.events.0.len() as u32 - ev_start,
-                ..StepRecord::default()
-            };
-            if S::ENABLED && !was_done && now_done {
-                rec.completeness = protocols[idx]
-                    .estimate()
-                    .map_or(0.0, |est| est.completeness(n));
-            }
-            rec.send_start = buf.sends.len() as u32;
-            Self::capture_sends(buf);
-            rec.send_len = buf.sends.len() as u32 - rec.send_start;
-            buf.records.push(rec);
-        }
-        buf.inbox = inbox;
-    }
-
-    // lint:hot — worker side of the fork-join visit phase.
-    #[allow(clippy::too_many_arguments)]
-    fn shard_visit<S: TraceSink>(
-        round: Round,
-        n: usize,
-        base: usize,
-        ids: &[u32],
-        protocols: &mut [P],
-        rngs: &mut [DetRng],
-        failure: &FailureProcess,
-        buf: &mut ShardBuf<A>,
-    ) {
-        for &iv in ids {
-            let me = MemberId(iv);
-            let idx = iv as usize - base;
-            let mut rec = StepRecord {
-                member: me,
-                ..StepRecord::default()
-            };
-            if !failure.is_alive(me) {
-                rec.dead = true;
-                buf.records.push(rec);
-                continue;
-            }
-            if protocols[idx].is_done() {
-                rec.pre_done = true;
-                buf.records.push(rec);
-                continue;
-            }
-            rec.ev_start = buf.events.0.len() as u32;
-            {
-                let mut ctx = if S::ENABLED {
-                    Ctx::traced(round, &mut rngs[idx], &mut buf.events)
-                } else {
-                    Ctx::new(round, &mut rngs[idx])
-                };
-                protocols[idx].on_round(&mut ctx, &mut buf.out);
-            }
-            rec.ev_len = buf.events.0.len() as u32 - rec.ev_start;
-            rec.now_done = protocols[idx].is_done();
-            if S::ENABLED && rec.now_done {
-                rec.completeness = protocols[idx]
-                    .estimate()
-                    .map_or(0.0, |est| est.completeness(n));
-            }
-            rec.send_start = buf.sends.len() as u32;
-            Self::capture_sends(buf);
-            rec.send_len = buf.sends.len() as u32 - rec.send_start;
-            buf.records.push(rec);
-        }
-    }
-
-    // lint:hot — worker-side outbox capture: wire sizes are computed in
-    // parallel; the payloads wait in the shard buffer for the replay.
-    fn capture_sends(buf: &mut ShardBuf<A>) {
-        // destructure so the outbox drain and the send buffer can be
-        // borrowed at once
-        let ShardBuf { out, sends, .. } = buf;
-        for (to, payload) in out.drain() {
-            let bytes = payload.wire_size();
-            sends.push(SendRec {
-                to,
-                bytes,
-                payload: Some(payload),
-            });
-        }
-    }
-
-    // lint:hot — ordered send replay: the only place recorded sends
-    // touch the network, so the shared net RNG (loss + delay draws in
-    // `SimNetwork::send`) consumes exactly the serial stream.
-    fn replay_sends<S: TraceSink>(
-        net: &mut SimNetwork<Payload<A>>,
-        round: Round,
-        rec: StepRecord,
-        buf: &mut ShardBuf<A>,
-        sink: &mut S,
-    ) {
-        for s in &mut buf.sends[rec.send_start as usize..(rec.send_start + rec.send_len) as usize] {
-            let payload = s.payload.take().expect("each recorded send replays once");
-            let outcome = net.send(round, rec.member, s.to, payload, s.bytes);
-            if S::ENABLED {
-                sink.record(TraceEvent::Send {
-                    from: rec.member,
-                    to: s.to,
-                    round,
-                    bytes: u64::from(s.bytes),
-                });
-                match outcome {
-                    SendOutcome::Queued { .. } => {}
-                    SendOutcome::DroppedLoss => {
-                        sink.record(TraceEvent::DropLoss {
-                            from: rec.member,
-                            to: s.to,
-                            round,
-                        });
-                    }
-                    SendOutcome::DroppedBandwidth => {
-                        sink.record(TraceEvent::DropBandwidth {
-                            from: rec.member,
-                            to: s.to,
-                            round,
-                        });
-                    }
-                }
+            while let Some((rec, events, sends)) = buf.replay_next() {
+                books.apply_visit(round, &rec, events, sends, sink);
             }
         }
     }

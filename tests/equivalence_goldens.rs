@@ -151,11 +151,21 @@ fn event_driven_engine_trace_is_byte_identical() {
     // rendering of the *complete* trace stream, frozen from the dense
     // per-member scan. Any reordering, added, or dropped event — even
     // two swapped deliveries inside one round — changes the hash.
-    for (n, seed, events, fingerprint) in [
-        (256usize, 7u64, 27706usize, 0xf959_bd98_aaa1_ba54u64),
-        (1024, 11, 159084, 0x887b_75fd_3307_1046),
+    //
+    // The third row staggers starts over five rounds under crashes and
+    // loss, so official starts, gossip wake-ups and skipped dead members
+    // all land in the frozen stream.
+    let staggered = ExperimentConfig {
+        start_spread: Some(5),
+        ..cfg(256).with_pf(0.01).with_ucastl(0.25)
+    };
+    for (config, seed, events, fingerprint) in [
+        (cfg(256), 7u64, 27706usize, 0xf959_bd98_aaa1_ba54u64),
+        (cfg(1024), 11, 159084, 0x887b_75fd_3307_1046),
+        (staggered, 29, 26266, 0x0ca8_1136_a6f6_e92b),
     ] {
-        let (_, trace) = run_hiergossip_traced::<Average>(&cfg(n), seed);
+        let n = config.n;
+        let (_, trace) = run_hiergossip_traced::<Average>(&config, seed);
         assert_eq!(trace.len(), events, "n={n}: trace event count");
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         for event in &trace.events {
