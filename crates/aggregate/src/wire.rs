@@ -280,14 +280,13 @@ impl WireAggregate for All {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     fn roundtrip<A: WireAggregate>(a: &A) -> A {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         a.encode(&mut buf);
         assert_eq!(buf.len(), a.wire_size(), "declared size mismatch");
         assert!(a.wire_size() <= MAX_AGGREGATE_WIRE_SIZE);
-        let mut rd = buf.freeze();
+        let mut rd: &[u8] = &buf;
         let out = A::decode(&mut rd).expect("decode");
         assert_eq!(rd.remaining(), 0, "trailing bytes");
         out
@@ -348,11 +347,11 @@ mod tests {
 
     #[test]
     fn truncated_input_errors() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         fold::<Average>(&VOTES).encode(&mut buf);
-        let mut short = buf.freeze().slice(0..10);
+        let mut short: &[u8] = &buf[..10];
         assert_eq!(Average::decode(&mut short), Err(WireError::Truncated));
-        let mut empty = bytes::Bytes::new();
+        let mut empty: &[u8] = &[];
         assert_eq!(Sum::decode(&mut empty), Err(WireError::Truncated));
         assert_eq!(TopK::decode(&mut empty), Err(WireError::Truncated));
     }
@@ -360,17 +359,14 @@ mod tests {
     #[test]
     fn malformed_input_errors() {
         // zero-count average
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_f64(1.0);
         buf.put_u64(0);
-        assert_eq!(
-            Average::decode(&mut buf.freeze()),
-            Err(WireError::Malformed)
-        );
+        assert_eq!(Average::decode(&mut &buf[..]), Err(WireError::Malformed));
         // topk with oversized length
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(200);
-        assert_eq!(TopK::decode(&mut buf.freeze()), Err(WireError::Malformed));
+        assert_eq!(TopK::decode(&mut &buf[..]), Err(WireError::Malformed));
     }
 
     #[test]
@@ -389,9 +385,9 @@ mod tests {
         assert_eq!(roundtrip(&Any::from_vote(1.0)), Any::from_vote(1.0));
         assert_eq!(roundtrip(&Any::from_vote(0.0)), Any::from_vote(0.0));
         assert_eq!(roundtrip(&All::from_vote(0.0)), All::from_vote(0.0));
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(7);
-        assert_eq!(Any::decode(&mut buf.freeze()), Err(WireError::Malformed));
+        assert_eq!(Any::decode(&mut &buf[..]), Err(WireError::Malformed));
     }
 
     #[test]
@@ -413,9 +409,9 @@ mod tests {
             .try_merge(&crate::Tagged::from_vote(9, 7.0, 128))
             .unwrap();
         for t in [&exact, &counted] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode_tagged(t, &mut buf);
-            let back: crate::Tagged<Average> = decode_tagged(&mut buf.freeze()).unwrap();
+            let back: crate::Tagged<Average> = decode_tagged(&mut &buf[..]).unwrap();
             assert_eq!(&back, t);
             assert_eq!(back.vote_count(), 2);
         }
@@ -425,7 +421,7 @@ mod tests {
             big.try_merge(&crate::Tagged::from_vote_for_scale(m, 1.0, n))
                 .unwrap();
         }
-        let (mut a, mut b) = (BytesMut::new(), BytesMut::new());
+        let (mut a, mut b) = (Vec::new(), Vec::new());
         encode_tagged(&counted, &mut a);
         encode_tagged(&big, &mut b);
         assert_eq!(a.len(), b.len());
@@ -635,15 +631,14 @@ mod memo_tests {
 mod tagged_wire_tests {
     use super::*;
     use crate::{Average, Tagged};
-    use bytes::BytesMut;
 
     #[test]
     fn tagged_roundtrip() {
         let mut t = Tagged::<Average>::from_vote(3, 10.0, 256);
         t.try_merge(&Tagged::from_vote(200, 30.0, 256)).unwrap();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_tagged(&t, &mut buf);
-        let back: Tagged<Average> = decode_tagged(&mut buf.freeze()).unwrap();
+        let back: Tagged<Average> = decode_tagged(&mut &buf[..]).unwrap();
         assert_eq!(back.vote_count(), 2);
         assert!(back.votes().contains(3) && back.votes().contains(200));
         assert_eq!(back.aggregate().unwrap().summary(), 20.0);
@@ -652,9 +647,9 @@ mod tagged_wire_tests {
     #[test]
     fn empty_tagged_roundtrip() {
         let t = Tagged::<Average>::empty(64);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_tagged(&t, &mut buf);
-        let back: Tagged<Average> = decode_tagged(&mut buf.freeze()).unwrap();
+        let back: Tagged<Average> = decode_tagged(&mut &buf[..]).unwrap();
         assert!(back.aggregate().is_none());
         assert_eq!(back.vote_count(), 0);
     }
@@ -663,22 +658,21 @@ mod tagged_wire_tests {
     fn mismatched_value_and_set_rejected() {
         // a tagged with a value but fabricated empty voteset decodes
         // fine; a voteset without a value is rejected by from_parts
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(0); // no value
         buf.put_u16(1);
         buf.put_u64(0b1); // ...but one contributor
-        let r: Result<Tagged<Average>, _> = decode_tagged(&mut buf.freeze());
+        let r: Result<Tagged<Average>, _> = decode_tagged(&mut &buf[..]);
         assert_eq!(r.unwrap_err(), WireError::Malformed);
     }
 
     #[test]
     fn truncated_tagged_rejected() {
         let t = Tagged::<Average>::from_vote(0, 1.0, 64);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_tagged(&t, &mut buf);
-        let full = buf.freeze();
-        for cut in 0..full.len() {
-            let mut short = full.slice(0..cut);
+        for cut in 0..buf.len() {
+            let mut short: &[u8] = &buf[..cut];
             let r: Result<Tagged<Average>, _> = decode_tagged(&mut short);
             assert!(r.is_err(), "cut at {cut} should fail");
         }

@@ -21,9 +21,8 @@ use gridagg_bench::sweep::Sweep;
 use gridagg_bench::{base_seed, print_table, runs, sci, write_csv};
 use gridagg_core::config::ExperimentConfig;
 use gridagg_core::continuous::{
-    run_continuous, ContinuousOptions, ContinuousOutcome, ContinuousProtocol,
+    run_continuous, ContinuousOptions, ContinuousOutcome, ContinuousProtocol, VoteProcess,
 };
-use gridagg_core::periodic::VoteProcess;
 use gridagg_group::membership::ChurnModel;
 
 const EPOCHS: usize = 24;

@@ -3,13 +3,11 @@
 //! The workspace builds fully offline, so the upstream `bytes` crate is
 //! replaced by this in-repo implementation of exactly the surface the
 //! codecs use: the [`Buf`]/[`BufMut`] traits with big-endian integer and
-//! float accessors, plus the [`Bytes`]/[`BytesMut`] owned buffers.
-//! Semantics (panics on underflow, big-endian byte order, consuming
-//! reads) match upstream so the codec crates compile unchanged.
+//! float accessors, implemented for `&[u8]` and `Vec<u8>`. Semantics
+//! (panics on underflow, big-endian byte order, consuming reads) match
+//! upstream so the codec crates compile unchanged.
 
 #![warn(missing_docs)]
-
-use std::sync::Arc;
 
 /// Read access to a contiguous buffer, consumed from the front.
 ///
@@ -154,140 +152,6 @@ impl<B: BufMut + ?Sized> BufMut for &mut B {
     }
 }
 
-/// An immutable, cheaply cloneable byte buffer with a read cursor.
-#[derive(Debug, Clone, Default)]
-pub struct Bytes {
-    data: Arc<[u8]>,
-    start: usize,
-    end: usize,
-}
-
-impl Bytes {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Bytes::from(Vec::new())
-    }
-
-    /// Total unread length.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether no bytes remain.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A sub-range of the unread bytes as a new `Bytes` sharing storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
-        assert!(
-            range.start <= range.end && range.end <= self.len(),
-            "slice {range:?} out of bounds for Bytes of len {}",
-            self.len()
-        );
-        Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start + range.start,
-            end: self.start + range.end,
-        }
-    }
-
-    fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
-    }
-}
-
-impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Self {
-        let end = v.len();
-        Bytes {
-            data: v.into(),
-            start: 0,
-            end,
-        }
-    }
-}
-
-impl PartialEq for Bytes {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Bytes {}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self.as_slice()
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "cannot advance past end of Bytes");
-        self.start += cnt;
-    }
-}
-
-/// A growable byte buffer that freezes into [`Bytes`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    data: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        BytesMut { data: Vec::new() }
-    }
-
-    /// An empty buffer with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Convert into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,30 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn bytes_mut_freeze_and_slice() {
-        let mut b = BytesMut::new();
-        b.put_slice(&[0, 1, 2, 3, 4, 5]);
-        assert_eq!(b.len(), 6);
-        let frozen = b.freeze();
-        let mid = frozen.slice(2..5);
-        assert_eq!(mid.as_ref(), &[2, 3, 4]);
-        let mut cursor = mid.clone();
-        assert_eq!(cursor.get_u8(), 2);
-        assert_eq!(cursor.remaining(), 2);
-        assert_eq!(mid.len(), 3, "reading a clone leaves the source intact");
-    }
-
-    #[test]
     #[should_panic(expected = "buffer underflow")]
     fn underflow_panics() {
         let mut r: &[u8] = &[1];
         let _ = r.get_u16();
-    }
-
-    #[test]
-    fn empty_bytes() {
-        let b = Bytes::new();
-        assert!(b.is_empty());
-        assert_eq!(b.remaining(), 0);
     }
 }

@@ -1,18 +1,29 @@
-//! Continuous aggregation under churn — the service layer over
-//! [`crate::periodic`].
+//! Continuous aggregation — the paper's §2 extension as an epoch
+//! service.
 //!
-//! The paper's protocol is one-shot over a fixed group with
-//! crash-without-recovery failures (§7). A production deployment of its
-//! §2 extension ("periodically calculate the global aggregate") instead
-//! faces *churn*: members join, leave, crash, and recover between
-//! aggregation epochs. [`run_continuous`] drives that scenario:
+//! "Our discussion considers only one run of the aggregation protocol,
+//! but this can be extended to one which periodically calculate\[s\] the
+//! global aggregate." [`run_continuous`] does exactly that: a sequence
+//! of *epochs*, each one aggregation over the members' current votes,
+//! with votes evolving between epochs. The result is a tracking series
+//! — how well the group-wide estimate follows a drifting global
+//! quantity (e.g. a slowly heating wing).
+//!
+//! The paper's periodic mode is the degenerate case
+//! [`ContinuousProtocol::HierGossipRestart`] with [`ChurnModel::none`]
+//! and `recovery = 0`: members that crash stay crashed across epochs
+//! (the §7 no-recovery model), so the up-membership shrinks
+//! monotonically and each epoch's hierarchy is re-derived from the
+//! *surviving* population, exercising the approximate-`N` tolerance.
+//!
+//! A production deployment instead faces *churn*: members join, leave,
+//! crash, and recover between epochs. Each epoch of [`run_continuous`]:
 //!
 //! 1. A [`MembershipProcess`] evolves the group between epochs —
 //!    joins append fresh member ids, leaves/crashes take members down,
 //!    recoveries bring crashed members back.
-//! 2. Votes evolve per epoch via the periodic [`VoteProcess`], and
-//!    newly joined members draw fresh votes from the experiment's vote
-//!    distribution.
+//! 2. Votes evolve per epoch via the [`VoteProcess`], and newly joined
+//!    members draw fresh votes from the experiment's vote distribution.
 //! 3. Each epoch runs one aggregation over the members that are up at
 //!    epoch start, under a *within-epoch* failure model that may
 //!    include recovery ([`MembershipProcess::within_epoch_model`] maps
@@ -26,8 +37,7 @@
 //!
 //! * [`ContinuousProtocol::HierGossipRestart`] — the paper's answer to
 //!   churn: restart a one-shot Hierarchical Gossiping run per epoch
-//!   over the current membership (densely reindexed, as in
-//!   [`crate::periodic::run_periodic`]).
+//!   over the current membership, densely reindexed.
 //! * [`ContinuousProtocol::FlowUpdating`] — the mass-conserving
 //!   baseline ([`crate::baselines::flowupdate`]): protocol state
 //!   *persists across epochs*; churn is absorbed by flow reclaim and
@@ -45,7 +55,7 @@ use gridagg_group::failure::{FailureModel, FailureProcess};
 use gridagg_group::membership::{ChurnModel, MembershipEvent, MembershipProcess};
 use gridagg_group::view::View;
 use gridagg_group::{MemberId, VoteDistribution};
-use gridagg_hierarchy::{FairHashPlacement, Hierarchy};
+use gridagg_hierarchy::{Addr, FairHashPlacement, Hierarchy, Placement};
 use gridagg_simnet::network::SimNetwork;
 use gridagg_simnet::rng::DetRng;
 
@@ -54,9 +64,60 @@ use crate::config::ExperimentConfig;
 use crate::engine::Simulation;
 use crate::hiergossip::HierGossip;
 use crate::metrics::MemberOutcome;
-use crate::periodic::{DensePlacement, PeriodicTermination, VoteProcess};
 use crate::protocol::AggregationProtocol;
 use crate::scope::ScopeIndex;
+
+/// How member votes evolve between epochs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum VoteProcess {
+    /// Votes stay fixed (re-evaluation of a static quantity).
+    Fixed,
+    /// Independent Gaussian random walk per member with the given step
+    /// standard deviation.
+    RandomWalk {
+        /// Per-epoch step standard deviation.
+        sigma: f64,
+    },
+    /// Common additive drift plus individual Gaussian noise — models a
+    /// global trend (the wing heating up) with sensor-local variation.
+    Drift {
+        /// Per-epoch additive trend applied to every vote.
+        rate: f64,
+        /// Per-epoch individual noise standard deviation.
+        noise: f64,
+    },
+}
+
+impl VoteProcess {
+    /// Evolve one vote by one epoch.
+    pub fn step(&self, vote: f64, rng: &mut DetRng) -> f64 {
+        let gaussian = |rng: &mut DetRng, sigma: f64| {
+            let u1 = rng.unit().max(1e-12);
+            let u2 = rng.unit();
+            sigma * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        };
+        match *self {
+            VoteProcess::Fixed => vote,
+            VoteProcess::RandomWalk { sigma } => vote + gaussian(rng, sigma),
+            VoteProcess::Drift { rate, noise } => vote + rate + gaussian(rng, noise),
+        }
+    }
+}
+
+/// How a continuous run ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Termination {
+    /// All requested epochs ran.
+    Completed,
+    /// The up-membership fell below 2 before `epoch` could run; the
+    /// outcome carries fewer epochs than requested.
+    GroupCollapsed {
+        /// The epoch that could not run.
+        epoch: usize,
+        /// Members up at that point (0 or 1).
+        survivors: usize,
+    },
+}
 
 /// Which protocol drives the continuous service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +154,9 @@ pub struct ContinuousOptions {
 
 impl ContinuousOptions {
     /// Defaults: hiergossip restart, 8 epochs, no churn, fixed votes,
-    /// no within-epoch recovery.
+    /// no within-epoch recovery. With
+    /// [`ContinuousProtocol::HierGossipRestart`] these defaults are the
+    /// paper's periodic mode.
     pub fn new(protocol: ContinuousProtocol) -> Self {
         ContinuousOptions {
             protocol,
@@ -151,14 +214,16 @@ impl ChurnEpochReport {
 pub struct ContinuousOutcome {
     /// One report per epoch that ran.
     pub epochs: Vec<ChurnEpochReport>,
-    /// Why the run stopped (shares the periodic-mode marker).
-    pub termination: PeriodicTermination,
+    /// Why the run stopped. A run that outlives its group is
+    /// truncated — check this rather than inferring it from
+    /// `epochs.len()`.
+    pub termination: Termination,
 }
 
 impl ContinuousOutcome {
     /// Whether the group collapsed before the requested epoch count.
     pub fn collapsed(&self) -> bool {
-        matches!(self.termination, PeriodicTermination::GroupCollapsed { .. })
+        matches!(self.termination, Termination::GroupCollapsed { .. })
     }
 }
 
@@ -197,7 +262,7 @@ pub fn run_continuous(
     let mut fu_protocols: Vec<FlowUpdating> = Vec::new();
 
     let mut epochs = Vec::with_capacity(opts.epochs);
-    let mut termination = PeriodicTermination::Completed;
+    let mut termination = Termination::Completed;
 
     for epoch in 0..opts.epochs {
         // 1. churn + vote evolution between epochs
@@ -223,7 +288,7 @@ pub fn run_continuous(
 
         let up = membership.up_members();
         if up.len() < 2 {
-            termination = PeriodicTermination::GroupCollapsed {
+            termination = Termination::GroupCollapsed {
                 epoch,
                 survivors: up.len(),
             };
@@ -417,6 +482,26 @@ fn run_hier_epoch(
     }
 }
 
+/// Placement over densely reindexed members: dense id `j` maps to the
+/// original member `survivors[j]`, placed by the epoch's fair hash.
+#[derive(Debug)]
+struct DensePlacement {
+    hierarchy: Hierarchy,
+    inner: FairHashPlacement,
+    survivors: Vec<usize>,
+}
+
+impl Placement for DensePlacement {
+    fn place(&self, id: MemberId) -> Addr {
+        let orig = self.survivors[id.index()];
+        self.inner.place(MemberId(orig as u32))
+    }
+
+    fn hierarchy(&self) -> &Hierarchy {
+        &self.hierarchy
+    }
+}
+
 /// One epoch of the persistent Flow-Updating driver: re-arm surviving
 /// instances over the healed ring-chord overlay, create instances for
 /// joiners, run one epoch's round budget, and hand the instances back
@@ -526,12 +611,19 @@ mod tests {
         }
     }
 
+    /// The paper's periodic mode: hiergossip restart, no churn, no
+    /// within-epoch recovery.
+    fn periodic(votes: VoteProcess, epochs: usize) -> ContinuousOptions {
+        let mut opts = ContinuousOptions::new(ContinuousProtocol::HierGossipRestart);
+        opts.votes = votes;
+        opts.epochs = epochs;
+        opts
+    }
+
     #[test]
     fn no_churn_hier_tracks_like_periodic() {
-        let mut opts = ContinuousOptions::new(ContinuousProtocol::HierGossipRestart);
-        opts.epochs = 3;
-        let out = run_continuous(&base(64), &opts, 5);
-        assert_eq!(out.termination, PeriodicTermination::Completed);
+        let out = run_continuous(&base(64), &periodic(VoteProcess::Fixed, 3), 5);
+        assert_eq!(out.termination, Termination::Completed);
         assert_eq!(out.epochs.len(), 3);
         for e in &out.epochs {
             assert_eq!(e.up, 64);
@@ -543,6 +635,86 @@ mod tests {
             );
             assert!(e.tracking_error() < 1.0, "err {}", e.tracking_error());
         }
+    }
+
+    #[test]
+    fn drift_is_tracked() {
+        let drift = VoteProcess::Drift {
+            rate: 2.0,
+            noise: 0.1,
+        };
+        let out = run_continuous(&base(64), &periodic(drift, 5), 9);
+        assert_eq!(out.epochs.len(), 5);
+        // the true value drifts upward ~2.0/epoch and the estimate follows
+        for w in out.epochs.windows(2) {
+            assert!(w[1].true_value > w[0].true_value + 1.0);
+        }
+        for e in &out.epochs {
+            assert!(
+                e.tracking_error() < 2.0,
+                "epoch {} error {}",
+                e.epoch,
+                e.tracking_error()
+            );
+        }
+    }
+
+    #[test]
+    fn random_walk_changes_truth() {
+        let walk = VoteProcess::RandomWalk { sigma: 5.0 };
+        let out = run_continuous(&base(32), &periodic(walk, 4), 3);
+        let truths: Vec<f64> = out.epochs.iter().map(|e| e.true_value).collect();
+        let distinct = truths.windows(2).any(|w| (w[0] - w[1]).abs() > 1e-9);
+        assert!(distinct, "random walk must move the truth: {truths:?}");
+    }
+
+    #[test]
+    fn crashes_accumulate_across_epochs() {
+        let mut cfg = base(128);
+        cfg.pf = 0.01;
+        let out = run_continuous(&cfg, &periodic(VoteProcess::Fixed, 4), 11);
+        let up: Vec<usize> = out.epochs.iter().map(|e| e.up).collect();
+        assert!(
+            up.windows(2).all(|w| w[1] <= w[0]),
+            "without churn the up-membership must shrink monotonically: {up:?}"
+        );
+        assert!(
+            up[up.len() - 1] < up[0],
+            "some members should have crashed over 4 epochs at pf=0.01"
+        );
+    }
+
+    #[test]
+    fn crash_collapse_is_reported_at_first_unrun_epoch() {
+        // pf high enough that a 16-member group dies within a few
+        // epochs; the truncation must be visible in the termination
+        let mut cfg = base(16);
+        cfg.pf = 0.35;
+        let out = run_continuous(&cfg, &periodic(VoteProcess::Fixed, 12), 7);
+        assert!(out.epochs.len() < 12, "group should have collapsed");
+        assert!(out.collapsed());
+        match out.termination {
+            Termination::GroupCollapsed { epoch, survivors } => {
+                assert_eq!(epoch, out.epochs.len(), "collapse at first unrun epoch");
+                assert!(survivors < 2);
+            }
+            Termination::Completed => unreachable!("checked above"),
+        }
+    }
+
+    #[test]
+    fn even_count_median_averages_middle_pair() {
+        let median = |values: &[f64]| {
+            let mut acc = EpochAccumulator::new(values.len());
+            for &v in values {
+                acc.publish(v, values.len());
+            }
+            acc.median_estimate()
+        };
+        // median of {1, 3, 5, 7} is 4, not the upper-middle 5
+        assert_eq!(median(&[5.0, 1.0, 7.0, 3.0]), 4.0);
+        // odd counts return the middle element
+        assert_eq!(median(&[5.0, 1.0, 7.0]), 5.0);
     }
 
     #[test]
@@ -631,8 +803,7 @@ mod tests {
     #[test]
     fn per_round_with_recovery_reachable_end_to_end() {
         // pf > 0 with recovery > 0 drives PerRoundWithRecovery through
-        // the full runner stack — previously unreachable from any
-        // runner (run_periodic maps pf > 0 to PerRound only)
+        // the full runner stack; `recovery = 0` keeps PerRound
         let mut cfg = base(48);
         cfg.pf = 0.01;
         let mut opts = ContinuousOptions::new(ContinuousProtocol::HierGossipRestart);
@@ -677,7 +848,6 @@ mod tests {
         opts.epochs = 0;
         let _ = run_continuous(&base(16), &opts, 1);
     }
-    // temporary probe test, appended to continuous.rs tests then removed
 
     #[test]
     fn fu_epoch_restarts_do_not_amplify_extremes() {

@@ -139,47 +139,6 @@ pub fn summarize(reports: &[RunReport]) -> Summary {
     }
 }
 
-/// A labelled series of `(x, summary)` points — one figure curve.
-#[derive(Debug, Clone)]
-pub struct Series {
-    /// Curve label (e.g. `"K=4,M=2"`).
-    pub label: String,
-    /// Sweep points.
-    pub points: Vec<(f64, Summary)>,
-}
-
-impl Series {
-    /// Create an empty series.
-    pub fn new(label: impl Into<String>) -> Self {
-        Series {
-            label: label.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// Append a point.
-    pub fn push(&mut self, x: f64, summary: Summary) {
-        self.points.push((x, summary));
-    }
-
-    /// The incompleteness values, in sweep order.
-    pub fn incompleteness(&self) -> Vec<f64> {
-        self.points
-            .iter()
-            .map(|(_, s)| s.mean_incompleteness)
-            .collect()
-    }
-}
-
-impl ToJson for Series {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("label".into(), self.label.to_json()),
-            ("points".into(), self.points.to_json()),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,18 +220,5 @@ mod tests {
             s.mean_rounds.is_finite() && s.mean_messages.is_finite(),
             "summary must stay finite when all members crash"
         );
-    }
-
-    #[test]
-    fn series_accumulates() {
-        let cfg = ExperimentConfig::default().with_n(32);
-        let mut series = Series::new("test");
-        for (i, n) in [32usize, 64].iter().enumerate() {
-            let c = cfg.with_n(*n);
-            let reports = run_many(2, i as u64 * 10, |s| run_hiergossip::<Average>(&c, s));
-            series.push(*n as f64, summarize(&reports));
-        }
-        assert_eq!(series.points.len(), 2);
-        assert_eq!(series.incompleteness().len(), 2);
     }
 }

@@ -47,7 +47,6 @@ pub mod hiergossip;
 pub mod json;
 pub mod message;
 pub mod metrics;
-pub mod periodic;
 pub mod protocol;
 pub mod runner;
 pub mod scope;
@@ -55,7 +54,7 @@ pub mod trace;
 
 pub use config::ExperimentConfig;
 pub use engine::Simulation;
-pub use experiment::{run_many, summarize, Series, Summary};
+pub use experiment::{run_many, summarize, Summary};
 pub use hiergossip::{HierGossip, HierGossipConfig};
 pub use message::Payload;
 pub use metrics::{MemberOutcome, RunReport};

@@ -389,21 +389,6 @@ fn build_flatgossip_sim<A: WireAggregate>(
     .with_engine_jobs(cfg.engine_jobs)
 }
 
-/// Run only the *first phase* of hierarchical gossip and report the
-/// phase-1 completeness — the simulation cross-check for the analytic
-/// `C_1(N, K, b)` of Figures 4 and 5.
-pub fn run_phase1_only<A: WireAggregate>(cfg: &ExperimentConfig, seed: u64) -> RunReport {
-    // A depth-1 hierarchy has exactly 2 phases; restricting the sweep to
-    // phase 1 means: run the full protocol but score each member's *box*
-    // aggregate. Simplest faithful proxy: run with phase1_early_exit off
-    // (full-length phase 1) and K boxes only — here we instead reuse the
-    // full run and let the caller compare shapes. Kept as an explicit
-    // helper so benches read clearly.
-    let mut c = *cfg;
-    c.rounds_per_phase = Some(c.hier_config().rounds_per_phase(c.n));
-    run_hiergossip::<A>(&c, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -50,8 +50,10 @@ pub struct ChurnModel {
 }
 
 impl ChurnModel {
-    /// No churn at all — the continuous service degenerates to the
-    /// monotone-shrink periodic mode.
+    /// No churn at all. With hiergossip restart and no within-epoch
+    /// recovery, the continuous service is then the paper's periodic
+    /// mode: within-epoch crashes are permanent, so the up-membership
+    /// only shrinks.
     pub fn none() -> Self {
         ChurnModel {
             join_rate: 0.0,

@@ -62,14 +62,14 @@ pub mod prelude {
     pub use gridagg_core::config::{ExperimentConfig, VoteSpec};
     pub use gridagg_core::continuous::{
         run_continuous, ChurnEpochReport, ContinuousOptions, ContinuousOutcome, ContinuousProtocol,
+        VoteProcess,
     };
-    pub use gridagg_core::periodic::{run_periodic, EpochReport, PeriodicOutcome, VoteProcess};
     pub use gridagg_core::runner::{
         run_centralized, run_flatgossip, run_flood, run_hiergossip, run_leader_election,
     };
     pub use gridagg_core::{
         run_many, summarize, AggregationProtocol, HierGossip, HierGossipConfig, MemberOutcome,
-        RunReport, ScopeIndex, Series, Simulation, Summary,
+        RunReport, ScopeIndex, Simulation, Summary,
     };
     pub use gridagg_group::{
         failure::FailureModel,

@@ -17,8 +17,9 @@
 use gridagg_aggregate::Average;
 use gridagg_core::baselines::{CentralizedConfig, FloodConfig, LeaderElectionConfig};
 use gridagg_core::config::ExperimentConfig;
-use gridagg_core::continuous::{run_continuous, ContinuousOptions, ContinuousProtocol};
-use gridagg_core::periodic::VoteProcess;
+use gridagg_core::continuous::{
+    run_continuous, ContinuousOptions, ContinuousProtocol, VoteProcess,
+};
 use gridagg_core::runner::{
     run_centralized_traced, run_flatgossip_traced, run_flood_traced, run_hiergossip_traced,
     run_leader_election_traced,

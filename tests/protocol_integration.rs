@@ -320,15 +320,18 @@ fn predicate_aggregates_answer_threshold_queries() {
 
 #[test]
 fn periodic_epochs_survive_failures_end_to_end() {
-    use gridagg::core::periodic::{run_periodic, VoteProcess};
+    // the paper's periodic mode: restart per epoch, no churn, no
+    // within-epoch recovery
     let mut cfg = ExperimentConfig::paper_defaults().with_n(96);
     cfg.pf = 0.005;
-    let epochs =
-        run_periodic::<Average>(&cfg, VoteProcess::RandomWalk { sigma: 1.0 }, 3, 13).epochs;
+    let mut opts = ContinuousOptions::new(ContinuousProtocol::HierGossipRestart);
+    opts.epochs = 3;
+    opts.votes = VoteProcess::RandomWalk { sigma: 1.0 };
+    let epochs = run_continuous(&cfg, &opts, 13).epochs;
     assert_eq!(epochs.len(), 3);
     for e in &epochs {
         assert!(
-            e.report.mean_completeness().unwrap_or(0.0) > 0.7,
+            e.completeness > 0.7,
             "epoch {} completeness collapsed",
             e.epoch
         );
