@@ -602,6 +602,11 @@ mod tests {
         c
     }
 
+    /// The periodic-mode tests run at 10% unicast loss.
+    fn lossy(n: usize) -> ExperimentConfig {
+        base(n).with_ucastl(0.1)
+    }
+
     fn churny() -> ChurnModel {
         ChurnModel {
             join_rate: 1.5,
@@ -643,7 +648,7 @@ mod tests {
             rate: 2.0,
             noise: 0.1,
         };
-        let out = run_continuous(&base(64), &periodic(drift, 5), 9);
+        let out = run_continuous(&lossy(64), &periodic(drift, 5), 9);
         assert_eq!(out.epochs.len(), 5);
         // the true value drifts upward ~2.0/epoch and the estimate follows
         for w in out.epochs.windows(2) {
@@ -662,7 +667,7 @@ mod tests {
     #[test]
     fn random_walk_changes_truth() {
         let walk = VoteProcess::RandomWalk { sigma: 5.0 };
-        let out = run_continuous(&base(32), &periodic(walk, 4), 3);
+        let out = run_continuous(&lossy(32), &periodic(walk, 4), 3);
         let truths: Vec<f64> = out.epochs.iter().map(|e| e.true_value).collect();
         let distinct = truths.windows(2).any(|w| (w[0] - w[1]).abs() > 1e-9);
         assert!(distinct, "random walk must move the truth: {truths:?}");
@@ -670,7 +675,7 @@ mod tests {
 
     #[test]
     fn crashes_accumulate_across_epochs() {
-        let mut cfg = base(128);
+        let mut cfg = lossy(128);
         cfg.pf = 0.01;
         let out = run_continuous(&cfg, &periodic(VoteProcess::Fixed, 4), 11);
         let up: Vec<usize> = out.epochs.iter().map(|e| e.up).collect();
@@ -688,7 +693,7 @@ mod tests {
     fn crash_collapse_is_reported_at_first_unrun_epoch() {
         // pf high enough that a 16-member group dies within a few
         // epochs; the truncation must be visible in the termination
-        let mut cfg = base(16);
+        let mut cfg = lossy(16);
         cfg.pf = 0.35;
         let out = run_continuous(&cfg, &periodic(VoteProcess::Fixed, 12), 7);
         assert!(out.epochs.len() < 12, "group should have collapsed");
