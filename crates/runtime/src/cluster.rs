@@ -24,6 +24,10 @@ use crate::endpoint::EndpointPool;
 use crate::multiplex::{Worker, WorkerStats};
 use crate::{MemberOutcome, RuntimeConfig, RuntimeError};
 
+/// Shortest round the runtime runs: [`RuntimeConfig::round_interval`]
+/// is clamped up to this once, at launch.
+const MIN_ROUND_INTERVAL: Duration = Duration::from_micros(200);
+
 /// Aggregated result of one real-network cluster run: the per-member
 /// outcomes plus the cluster-wide [`RuntimeReport`].
 #[derive(Debug)]
@@ -85,9 +89,8 @@ pub struct Cluster<A> {
     sockets: usize,
     workers: usize,
     epoch: Instant,
-    interval: Duration,
-    max_rounds: u64,
-    linger_rounds: u64,
+    /// When [`Cluster::join`] stops waiting for outcomes.
+    deadline: Instant,
 }
 
 impl<A: WireAggregate + Send + 'static> Cluster<A> {
@@ -109,14 +112,14 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
         votes: Vec<f64>,
         index: Arc<ScopeIndex>,
         proto_cfg: HierGossipConfig,
-        rt_cfg: RuntimeConfig,
+        mut rt_cfg: RuntimeConfig,
     ) -> Result<Self, RuntimeError> {
         let n = votes.len();
         assert_eq!(n, index.len(), "one vote per indexed member");
+        rt_cfg.round_interval = rt_cfg.round_interval.max(MIN_ROUND_INTERVAL);
 
         let sockets = rt_cfg.sockets.max(1);
-        let capacity = sockets.saturating_mul(rt_cfg.members_per_socket.max(1));
-        if n > capacity {
+        if n > rt_cfg.capacity() {
             return Err(RuntimeError::BudgetExceeded {
                 members: n,
                 sockets,
@@ -144,6 +147,15 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
         // every worker is polling before round 0 ends.
         let grace = Duration::from_millis(20 + (n as u64 / 200));
         let epoch = Instant::now() + grace;
+        // Hard collection deadline: the full round budget plus linger
+        // and slack — a wedged worker must not hang the collector.
+        let budget = rt_cfg
+            .max_rounds
+            .saturating_add(rt_cfg.linger_rounds)
+            .saturating_add(16);
+        let deadline = epoch
+            + rt_cfg.round_interval * u32::try_from(budget).unwrap_or(u32::MAX)
+            + Duration::from_secs(5);
 
         let (done_tx, done_rx) = mpsc::channel::<MemberOutcome<A>>();
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -157,7 +169,6 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
                 addrs.clone(),
                 members,
                 n as u32,
-                sockets,
                 rt_cfg.clone(),
                 epoch,
                 &root_rng,
@@ -190,9 +201,7 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
             sockets,
             workers,
             epoch,
-            interval: rt_cfg.round_interval.max(Duration::from_micros(200)),
-            max_rounds: rt_cfg.max_rounds,
-            linger_rounds: rt_cfg.linger_rounds,
+            deadline,
         })
     }
 
@@ -200,16 +209,6 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
     /// Exposed so tests can throw hostile datagrams at a live cluster.
     pub fn addrs(&self) -> &[SocketAddr] {
         &self.addrs
-    }
-
-    /// Group size.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Worker threads driving the shards.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Collect one outcome per member (bounded by the round budget),
@@ -225,17 +224,9 @@ impl<A: WireAggregate + Send + 'static> Cluster<A> {
             sockets,
             workers,
             epoch,
-            interval,
-            max_rounds,
-            linger_rounds,
+            deadline,
             ..
         } = self;
-
-        // Hard deadline: the full round budget plus linger and slack —
-        // a wedged worker must not hang the collector forever.
-        let budget = max_rounds.saturating_add(linger_rounds).saturating_add(16);
-        let deadline =
-            epoch + interval * u32::try_from(budget).unwrap_or(u32::MAX) + Duration::from_secs(5);
 
         let mut outcomes: Vec<MemberOutcome<A>> = Vec::with_capacity(n);
         let mut last_done = epoch;

@@ -38,6 +38,8 @@ use gridagg_group::MemberId;
 use gridagg_simnet::loss::LossModel;
 use gridagg_simnet::rng::DetRng;
 
+use crate::WorkerStats;
+
 /// Bytes of the per-frame header: dst u32, src u32, len u16.
 pub const FRAME_HEADER_LEN: usize = 10;
 
@@ -148,16 +150,6 @@ impl EndpointPool {
         })
     }
 
-    /// Number of sockets in the pool.
-    pub fn len(&self) -> usize {
-        self.sockets.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sockets.is_empty()
-    }
-
     /// The shared address table (index = socket index).
     pub fn addrs(&self) -> Arc<Vec<SocketAddr>> {
         self.addrs.clone()
@@ -179,6 +171,99 @@ impl EndpointPool {
             out[i % workers].push((i, s));
         }
         out
+    }
+}
+
+/// A worker's one frame-send path: loss-filters frames through its
+/// [`FaultInjector`], coalesces the survivors per destination socket
+/// into datagrams of at most `max_datagram` bytes, and sequences sealed
+/// datagrams through the reorder pocket onto `wire`.
+pub(crate) struct Coalescer {
+    faults: FaultInjector,
+    addrs: Arc<Vec<SocketAddr>>,
+    max_datagram: usize,
+    /// Per-destination-socket datagram under construction.
+    bufs: Vec<Vec<u8>>,
+    /// Frames coalesced into each `bufs` entry so far.
+    frames: Vec<u32>,
+    /// Sealed datagrams, in wire order: `(dest addr, bytes)`.
+    pub(crate) wire: Vec<(SocketAddr, Vec<u8>)>,
+    /// Recycled datagram buffers.
+    spare: Vec<Vec<u8>>,
+}
+
+impl Coalescer {
+    pub(crate) fn new(
+        faults: FaultInjector,
+        addrs: Arc<Vec<SocketAddr>>,
+        max_datagram: usize,
+    ) -> Self {
+        Coalescer {
+            faults,
+            bufs: (0..addrs.len()).map(|_| Vec::new()).collect(),
+            frames: vec![0; addrs.len()],
+            addrs,
+            max_datagram,
+            wire: Vec::new(),
+            spare: Vec::new(),
+        }
+    }
+
+    /// Append the frame `src -> dst` to its destination socket's
+    /// datagram, sealing that datagram first if the frame would
+    /// overflow it. Returns `false` when injected loss ate the frame.
+    // lint:hot — every protocol frame and every retry crosses here.
+    pub(crate) fn send(
+        &mut self,
+        src: MemberId,
+        dst: MemberId,
+        round: u64,
+        payload: &[u8],
+        stats: &mut WorkerStats,
+    ) -> bool {
+        if self.faults.drop_frame(src, dst, round) {
+            stats.injected_drops += 1;
+            return false;
+        }
+        let sock = EndpointPool::home_socket(dst.0, self.bufs.len());
+        if self.bufs[sock].len() + frame_len(payload.len()) > self.max_datagram {
+            self.seal(sock, stats);
+        }
+        push_frame(&mut self.bufs[sock], dst.0, src.0, payload);
+        self.frames[sock] += 1;
+        stats.frames_sent += 1;
+        true
+    }
+
+    /// Move socket `sock`'s datagram under construction, if any,
+    /// through the reorder pocket onto `wire`.
+    fn seal(&mut self, sock: usize, stats: &mut WorkerStats) {
+        if self.bufs[sock].is_empty() {
+            return;
+        }
+        let full = std::mem::replace(&mut self.bufs[sock], self.spare.pop().unwrap_or_default());
+        if self.faults.sequence(self.addrs[sock], full, &mut self.wire) {
+            stats.reordered += 1;
+        }
+        if self.frames[sock] > 1 {
+            stats.batched_sends += 1;
+        }
+        self.frames[sock] = 0;
+    }
+
+    /// Seal every pending datagram and release the held-back one, so
+    /// `wire` holds the whole batch.
+    pub(crate) fn seal_all(&mut self, stats: &mut WorkerStats) {
+        for sock in 0..self.bufs.len() {
+            self.seal(sock, stats);
+        }
+        self.faults.flush_pocket(&mut self.wire);
+    }
+
+    /// Return a sent datagram's buffer for reuse.
+    pub(crate) fn recycle(&mut self, mut bytes: Vec<u8>) {
+        bytes.clear();
+        self.spare.push(bytes);
     }
 }
 
@@ -251,6 +336,12 @@ impl FaultInjector {
 mod tests {
     use super::*;
     use gridagg_simnet::loss::UniformLoss;
+
+    #[test]
+    fn frame_header_constant_matches_format() {
+        // dst u32 + src u32 + len u16
+        assert_eq!(FRAME_HEADER_LEN, 4 + 4 + 2);
+    }
 
     #[test]
     fn frames_roundtrip_through_a_datagram() {
@@ -331,9 +422,7 @@ mod tests {
     #[test]
     fn pool_binds_and_splits_round_robin() {
         let pool = EndpointPool::bind(5).expect("bind");
-        assert_eq!(pool.len(), 5);
-        let addrs = pool.addrs();
-        assert_eq!(addrs.len(), 5);
+        assert_eq!(pool.addrs().len(), 5);
         let sets = pool.split(2);
         assert_eq!(sets.len(), 2);
         assert_eq!(
@@ -365,5 +454,27 @@ mod tests {
         assert_eq!(wire.iter().map(|(_, b)| b[0]).collect::<Vec<_>>(), [2, 1]);
         inj.flush_pocket(&mut wire);
         assert_eq!(wire.len(), 2, "pocket was already empty");
+    }
+
+    #[test]
+    fn coalescer_seals_before_overflow_and_counts_only_batches() {
+        let addrs = Arc::new(vec!["127.0.0.1:9".parse().expect("addr"); 2]);
+        let faults = FaultInjector::new(None, 0.0, DetRng::seeded(1));
+        let mut out = Coalescer::new(faults, addrs, 2 * frame_len(3));
+        let mut stats = WorkerStats::default();
+        for _ in 0..3 {
+            assert!(out.send(MemberId(1), MemberId(4), 0, b"abc", &mut stats));
+        }
+        // The third frame would overflow, so the two before it were
+        // sealed into one batched datagram first.
+        assert_eq!(out.wire.len(), 1);
+        assert_eq!(out.wire[0].1.len(), 2 * frame_len(3));
+        assert_eq!(out.frames[0], 1);
+        assert_eq!(stats.batched_sends, 1);
+        // A single-frame datagram is sent but not counted as batched.
+        out.seal_all(&mut stats);
+        assert_eq!(out.wire.len(), 2);
+        assert_eq!(stats.batched_sends, 1);
+        assert_eq!(stats.frames_sent, 3);
     }
 }

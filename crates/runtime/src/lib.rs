@@ -22,15 +22,14 @@
 //! - [`multiplex`] — the sharded event loop: each worker thread owns a
 //!   disjoint subset of sockets and the members homed on them, with
 //!   per-member mailboxes, an outbox coalescing frames per destination
-//!   socket, and per-worker counters.
-//! - [`timer`] — the epoch-anchored timer wheel driving round and
-//!   linger deadlines, keeping round boundaries aligned across workers.
+//!   socket, per-worker counters, and one epoch-anchored round clock
+//!   that keeps round boundaries aligned across workers.
 //! - [`cluster`] — assembly, outcome collection, graceful teardown, and
 //!   the [`cluster::RuntimeReport`] mirroring the
 //!   simulator's `RunReport`.
 //!
 //! ```no_run
-//! use gridagg_runtime::{run_group, RuntimeConfig};
+//! use gridagg_runtime::{run_cluster, RuntimeConfig};
 //! use gridagg_core::hiergossip::HierGossipConfig;
 //! use gridagg_core::scope::ScopeIndex;
 //! use gridagg_group::view::View;
@@ -42,13 +41,13 @@
 //! let h = Hierarchy::for_group(4, n).unwrap();
 //! let index = ScopeIndex::build(&View::complete(n), &FairHashPlacement::new(h, 1));
 //! let votes: Vec<f64> = (0..n).map(|i| i as f64).collect();
-//! let outcomes = run_group::<Average>(
+//! let run = run_cluster::<Average>(
 //!     votes,
 //!     index,
 //!     HierGossipConfig::default(),
 //!     RuntimeConfig::default(),
 //! )?;
-//! assert_eq!(outcomes.len(), 32);
+//! assert_eq!(run.outcomes.len(), 32);
 //! # Ok(())
 //! # }
 //! ```
@@ -59,15 +58,12 @@
 pub mod cluster;
 pub mod endpoint;
 pub mod multiplex;
-pub mod timer;
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use gridagg_aggregate::wire::WireAggregate;
 use gridagg_aggregate::Tagged;
-use gridagg_core::hiergossip::HierGossipConfig;
-use gridagg_core::scope::ScopeIndex;
 use gridagg_group::MemberId;
 use gridagg_simnet::loss::{LossModel, UniformLoss};
 
@@ -77,7 +73,7 @@ pub use multiplex::WorkerStats;
 /// Wall-clock and multiplexing parameters of a real-network cluster.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Length of one gossip round.
+    /// Length of one gossip round (floored at 200 µs).
     pub round_interval: Duration,
     /// Safety cap: a member gives up after this many rounds even if the
     /// protocol has not terminated.
@@ -225,36 +221,12 @@ impl<A: WireAggregate> MemberOutcome<A> {
     }
 }
 
-/// Run a whole group over localhost UDP and collect every member's
-/// outcome, sorted by member id. Sockets are bound to ephemeral ports
-/// up front, so parallel runs (e.g. concurrent tests) never collide.
-/// Blocks until every member has reported (bounded by `max_rounds`
-/// ticks); teardown joins all worker threads before returning.
-///
-/// This is the outcome-only convenience wrapper over
-/// [`run_cluster`], which additionally returns the
-/// [`RuntimeReport`].
-///
-/// # Errors
-///
-/// See [`Cluster::launch`].
-///
-/// # Panics
-///
-/// Panics if `votes.len()` does not match the index population.
-pub fn run_group<A: WireAggregate + Send + 'static>(
-    votes: Vec<f64>,
-    index: Arc<ScopeIndex>,
-    proto_cfg: HierGossipConfig,
-    rt_cfg: RuntimeConfig,
-) -> Result<Vec<MemberOutcome<A>>, RuntimeError> {
-    Ok(run_cluster(votes, index, proto_cfg, rt_cfg)?.outcomes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gridagg_aggregate::{Aggregate, Average};
+    use gridagg_core::hiergossip::HierGossipConfig;
+    use gridagg_core::scope::ScopeIndex;
     use gridagg_group::view::View;
     use gridagg_hierarchy::{FairHashPlacement, Hierarchy};
 
@@ -268,22 +240,21 @@ mod tests {
         let n = 24;
         let votes: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let truth = (n as f64 - 1.0) / 2.0;
-        let outcomes = run_group::<Average>(
+        let run = run_cluster::<Average>(
             votes,
             index(n),
             HierGossipConfig::default(),
             RuntimeConfig::default(),
         )
         .expect("run");
-        assert_eq!(outcomes.len(), n);
-        let mean_completeness: f64 =
-            outcomes.iter().map(|o| o.completeness(n)).sum::<f64>() / n as f64;
+        assert_eq!(run.outcomes.len(), n);
+        let completeness = run.report.mean_completeness;
         assert!(
-            mean_completeness > 0.9,
-            "loopback run incomplete: {mean_completeness}"
+            completeness > 0.9,
+            "loopback run incomplete: {completeness}"
         );
         // fully complete members computed the exact average
-        for o in &outcomes {
+        for o in &run.outcomes {
             if o.completeness(n) == 1.0 {
                 let est = o.estimate.as_ref().unwrap();
                 assert!((est.aggregate().unwrap().summary() - truth).abs() < 1e-9);
@@ -296,13 +267,12 @@ mod tests {
         let n = 24;
         let votes: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let cfg = RuntimeConfig::default().with_uniform_loss(0.25);
-        let outcomes =
-            run_group::<Average>(votes, index(n), HierGossipConfig::default(), cfg).expect("run");
-        let mean_completeness: f64 =
-            outcomes.iter().map(|o| o.completeness(n)).sum::<f64>() / n as f64;
+        let run =
+            run_cluster::<Average>(votes, index(n), HierGossipConfig::default(), cfg).expect("run");
+        let completeness = run.report.mean_completeness;
         assert!(
-            mean_completeness > 0.7,
-            "lossy loopback run collapsed: {mean_completeness}"
+            completeness > 0.7,
+            "lossy loopback run collapsed: {completeness}"
         );
     }
 
@@ -317,7 +287,9 @@ mod tests {
                 sockets: 4,
                 ..Default::default()
             };
-            run_group::<Average>(votes, index(n), HierGossipConfig::default(), cfg).expect("run")
+            run_cluster::<Average>(votes, index(n), HierGossipConfig::default(), cfg)
+                .expect("run")
+                .outcomes
         };
         let (a, b) = std::thread::scope(|s| {
             let ta = s.spawn(|| run(1));

@@ -9,13 +9,16 @@
 //!    as `DecodeError` values, counted not panicked);
 //! 2. **deliver** — run `on_message` for every mailbox in member order,
 //!    collecting gossip into the outbox;
-//! 3. **tick** — pop due round deadlines off the [`TimerWheel`] and run
-//!    `on_round` (plus termination, linger, and retry-on-silence
-//!    bookkeeping) for each;
+//! 3. **tick** — once the worker's round deadline
+//!    (`epoch + interval·(round+1)`) has passed, run `on_round` (plus
+//!    termination, linger, and retry-on-silence bookkeeping) for every
+//!    live member in member order, then advance the round. Every member
+//!    starts at the shared epoch and advances one round per deadline,
+//!    so one clock serves the whole shard;
 //! 4. **flush** — coalesce queued frames per destination socket into
 //!    few large datagrams, route them through the [`FaultInjector`],
 //!    and put them on the wire;
-//! 5. **sleep** until the next deadline (bounded by a short poll cap so
+//! 5. **sleep** until the deadline (bounded by a short poll cap so
 //!    inbound traffic is never stalled a full round).
 //!
 //! Everything a member needs lives in its `MemberSlot`; everything a
@@ -37,8 +40,7 @@ use gridagg_core::Payload;
 use gridagg_group::MemberId;
 use gridagg_simnet::rng::DetRng;
 
-use crate::endpoint::{frame_len, push_frame, FaultInjector, FrameIter};
-use crate::timer::TimerWheel;
+use crate::endpoint::{Coalescer, FaultInjector, FrameIter};
 use crate::{MemberOutcome, RuntimeConfig};
 
 /// Cap on the frames a member keeps for retry-on-silence resends.
@@ -112,14 +114,14 @@ struct MemberSlot<A> {
     /// Memoized wire form of the last payload sent: gossip fans the
     /// same payload to several peers, so most sends reuse the bytes.
     memo: EncodeMemo<Payload<A>>,
+    /// Inbound messages; non-empty exactly while the member is on the
+    /// worker's dirty list.
     mailbox: VecDeque<(MemberId, Payload<A>)>,
-    in_dirty: bool,
-    /// Completed wall-clock rounds.
-    round: u64,
     /// Round of the most recent inbound message (for retry-on-silence).
     last_rx_round: u64,
-    reported: bool,
-    linger_left: u64,
+    /// Once the member has reported: the round whose tick retires it,
+    /// after it has lingered to keep answering stragglers.
+    retire_at: Option<u64>,
     retired: bool,
     /// Encoded frames of the most recent non-empty flush, kept for
     /// retry-on-silence. `(dst, payload bytes)`, entries reused.
@@ -131,36 +133,25 @@ struct MemberSlot<A> {
 pub(crate) struct Worker<A> {
     /// Owned sockets, each tagged with its pool index.
     pub(crate) sockets: Vec<(usize, UdpSocket)>,
-    pub(crate) addrs: Arc<Vec<SocketAddr>>,
     pub(crate) n_members: u32,
-    pub(crate) n_sockets: usize,
+    /// `round_interval` arrives clamped by [`Cluster::launch`](crate::cluster::Cluster::launch).
     pub(crate) cfg: RuntimeConfig,
     pub(crate) epoch: Instant,
     pub(crate) done: mpsc::Sender<MemberOutcome<A>>,
     pub(crate) shutdown: Arc<AtomicBool>,
-    pub(crate) faults: FaultInjector,
 
     slots: Vec<MemberSlot<A>>,
     /// Global member id -> local slot index (`u32::MAX` = not ours).
     local_of: Vec<u32>,
-    wheel: TimerWheel,
+    /// Completed rounds, shared by every member of the shard.
+    round: u64,
     live: usize,
     stats: WorkerStats,
+    out: Coalescer,
 
     // Reused scratch:
     outbox: Outbox<A>,
     dirty: Vec<u32>,
-    due: Vec<u32>,
-    /// Per-destination-socket datagram under construction.
-    out_bufs: Vec<Vec<u8>>,
-    /// Frames coalesced into each `out_bufs` entry so far.
-    out_frames: Vec<u32>,
-    /// Completed datagrams awaiting the wire: `(dest socket index, bytes)`.
-    ready: Vec<(usize, Vec<u8>)>,
-    /// Datagrams sequenced (possibly reordered) for sending.
-    wire: Vec<(SocketAddr, Vec<u8>)>,
-    /// Recycled datagram buffers.
-    spare: Vec<Vec<u8>>,
     recv_buf: Vec<u8>,
 }
 
@@ -175,7 +166,6 @@ impl<A: WireAggregate> Worker<A> {
         addrs: Arc<Vec<SocketAddr>>,
         members: Vec<(MemberId, HierGossip<A>)>,
         n_members: u32,
-        n_sockets: usize,
         cfg: RuntimeConfig,
         epoch: Instant,
         root_rng: &DetRng,
@@ -192,24 +182,13 @@ impl<A: WireAggregate> Worker<A> {
                 rng: root_rng.fork(0x7275_6E00 ^ u64::from(id.0)), // "run"
                 memo: EncodeMemo::new(),
                 mailbox: VecDeque::new(),
-                in_dirty: false,
-                round: 0,
                 last_rx_round: 0,
-                reported: false,
-                linger_left: cfg.linger_rounds,
+                retire_at: None,
                 retired: false,
                 last_frames: Vec::new(),
                 last_frames_len: 0,
             });
         }
-        let interval = cfg.round_interval.max(Duration::from_micros(200));
-        // Slot count ≈ one round of granularity-interval/4 ticks per
-        // lap; laps are handled by the wheel anyway.
-        let mut wheel = TimerWheel::new(epoch, interval / 4, 64);
-        for local in 0..slots.len() as u32 {
-            wheel.schedule(epoch + interval, local);
-        }
-        let live = slots.len();
         let faults = FaultInjector::new(
             cfg.loss.clone(),
             cfg.reorder,
@@ -217,35 +196,27 @@ impl<A: WireAggregate> Worker<A> {
         );
         Worker {
             sockets,
-            addrs,
             n_members,
-            n_sockets,
+            out: Coalescer::new(faults, addrs, cfg.max_datagram),
             cfg,
             epoch,
             done,
             shutdown,
-            faults,
+            live: slots.len(),
             slots,
             local_of,
-            wheel,
-            live,
+            round: 0,
             stats: WorkerStats::default(),
             outbox: Outbox::new(),
             dirty: Vec::new(),
-            due: Vec::new(),
-            out_bufs: (0..n_sockets).map(|_| Vec::new()).collect(),
-            out_frames: vec![0; n_sockets],
-            ready: Vec::new(),
-            wire: Vec::new(),
-            spare: Vec::new(),
             recv_buf: vec![0u8; 64 * 1024],
         }
     }
 
     /// The worker's event loop; returns its counters at exit.
     pub(crate) fn run(mut self) -> WorkerStats {
-        let interval = self.cfg.round_interval.max(Duration::from_micros(200));
-        let poll_cap = (interval / 4).clamp(Duration::from_micros(200), Duration::from_millis(2));
+        let poll_cap = (self.cfg.round_interval / 4)
+            .clamp(Duration::from_micros(200), Duration::from_millis(2));
         loop {
             self.stats.wakeups += 1;
             self.drain_sockets();
@@ -255,14 +226,15 @@ impl<A: WireAggregate> Worker<A> {
             if self.live == 0 || self.shutdown.load(Ordering::Relaxed) {
                 break;
             }
-            let now = Instant::now();
-            let until_deadline = self
-                .wheel
-                .next_deadline()
-                .map_or(poll_cap, |d| d.saturating_duration_since(now));
+            let until_deadline = self.deadline().saturating_duration_since(Instant::now());
             std::thread::sleep(until_deadline.min(poll_cap).max(Duration::from_micros(50)));
         }
         self.stats
+    }
+
+    /// End of the current round: `epoch + interval·(round+1)`.
+    fn deadline(&self) -> Instant {
+        self.epoch + self.cfg.round_interval * u32::try_from(self.round + 1).unwrap_or(u32::MAX)
     }
 
     /// Poll every owned socket dry, demultiplexing frames into member
@@ -300,13 +272,12 @@ impl<A: WireAggregate> Worker<A> {
                     if slot.retired {
                         continue;
                     }
+                    if slot.mailbox.is_empty() {
+                        self.dirty.push(local);
+                    }
                     slot.mailbox.push_back((MemberId(frame.src), payload));
                     self.stats.mailbox_high_water =
                         self.stats.mailbox_high_water.max(slot.mailbox.len() as u64);
-                    if !slot.in_dirty {
-                        slot.in_dirty = true;
-                        self.dirty.push(local);
-                    }
                 }
             }
         }
@@ -315,19 +286,13 @@ impl<A: WireAggregate> Worker<A> {
     /// Run `on_message` for every member with mail, in member order, and
     /// flush the gossip each delivery produced.
     fn deliver_mailboxes(&mut self) {
-        if self.dirty.is_empty() {
-            return;
-        }
         self.dirty.sort_unstable();
-        let mut i = 0;
-        while i < self.dirty.len() {
-            let local = self.dirty[i];
-            i += 1;
-            let slot = &mut self.slots[local as usize];
-            slot.in_dirty = false;
-            slot.last_rx_round = slot.round;
+        for i in 0..self.dirty.len() {
+            let local = self.dirty[i] as usize;
+            let slot = &mut self.slots[local];
+            slot.last_rx_round = self.round;
             while let Some((from, payload)) = slot.mailbox.pop_front() {
-                let mut ctx = Ctx::new(slot.round, &mut slot.rng);
+                let mut ctx = Ctx::new(self.round, &mut slot.rng);
                 slot.proto
                     .on_message(from, payload, &mut ctx, &mut self.outbox);
             }
@@ -336,71 +301,63 @@ impl<A: WireAggregate> Worker<A> {
         self.dirty.clear();
     }
 
-    /// Pop due round deadlines and advance each member's round state.
+    /// Once `now` has passed the round deadline, step every live member
+    /// through the round in member order and advance the clock. A late
+    /// worker catches up one round per call.
     fn tick_due(&mut self, now: Instant) {
-        let interval = self.cfg.round_interval.max(Duration::from_micros(200));
-        self.due.clear();
-        self.wheel.pop_due(now, &mut self.due);
-        let mut k = 0;
-        while k < self.due.len() {
-            let local = self.due[k];
-            k += 1;
-            let slot = &mut self.slots[local as usize];
+        if now < self.deadline() {
+            return;
+        }
+        let round = self.round;
+        for local in 0..self.slots.len() {
+            let slot = &mut self.slots[local];
             if slot.retired {
                 continue;
             }
-            if !slot.reported {
-                if !slot.proto.is_done() && slot.round < self.cfg.max_rounds {
-                    let mut ctx = Ctx::new(slot.round, &mut slot.rng);
-                    slot.proto.on_round(&mut ctx, &mut self.outbox);
-                    // Retry-on-silence backs off exponentially: resend
-                    // after r, 2r, 4r, ... silent rounds, not every
-                    // round — a congested cluster must not answer
-                    // silence with a retry storm.
-                    let silent_rounds = slot.round.saturating_sub(slot.last_rx_round);
-                    let r = self.cfg.retry_silent_rounds;
-                    let silent = r > 0
-                        && silent_rounds >= r
-                        && silent_rounds.is_multiple_of(r)
-                        && (silent_rounds / r).is_power_of_two();
-                    self.flush_outbox(local, silent);
-                }
-                let slot = &mut self.slots[local as usize];
-                slot.round += 1;
-                if slot.proto.is_done() || slot.round >= self.cfg.max_rounds {
-                    slot.reported = true;
-                    let outcome = MemberOutcome {
-                        member: slot.id,
-                        estimate: slot.proto.estimate().cloned(),
-                        rounds: slot.round,
-                    };
-                    // The collector may already have what it needs and
-                    // hung up; lingering members keep serving either way.
-                    let _ = self.done.send(outcome);
-                }
-            } else {
-                slot.round += 1;
-                if slot.linger_left == 0 {
+            if let Some(retire_at) = slot.retire_at {
+                if round >= retire_at {
                     slot.retired = true;
                     self.live -= 1;
-                    continue;
                 }
-                slot.linger_left -= 1;
+                continue;
             }
-            let slot = &self.slots[local as usize];
-            let next = self.epoch + interval * u32::try_from(slot.round + 1).unwrap_or(u32::MAX);
-            self.wheel.schedule(next, local);
+            if !slot.proto.is_done() && round < self.cfg.max_rounds {
+                let mut ctx = Ctx::new(round, &mut slot.rng);
+                slot.proto.on_round(&mut ctx, &mut self.outbox);
+                // Retry-on-silence backs off exponentially: resend
+                // after r, 2r, 4r, ... silent rounds, not every
+                // round — a congested cluster must not answer
+                // silence with a retry storm.
+                let silent_rounds = round.saturating_sub(slot.last_rx_round);
+                let r = self.cfg.retry_silent_rounds;
+                let silent = r > 0
+                    && silent_rounds >= r
+                    && silent_rounds.is_multiple_of(r)
+                    && (silent_rounds / r).is_power_of_two();
+                self.flush_outbox(local, silent);
+            }
+            let slot = &mut self.slots[local];
+            if slot.proto.is_done() || round + 1 >= self.cfg.max_rounds {
+                slot.retire_at = Some((round + 1).saturating_add(self.cfg.linger_rounds));
+                let outcome = MemberOutcome {
+                    member: slot.id,
+                    estimate: slot.proto.estimate().cloned(),
+                    rounds: round + 1,
+                };
+                // The collector may already have what it needs and
+                // hung up; lingering members keep serving either way.
+                let _ = self.done.send(outcome);
+            }
         }
+        self.round += 1;
     }
 
     /// Encode and coalesce one member's queued gossip; on `retry`,
     /// additionally resend the frames of its last non-empty flush.
-    // lint:hot — the send path: every protocol message is encoded,
-    // loss-filtered, and coalesced here.
-    fn flush_outbox(&mut self, local: u32, retry: bool) {
-        let slot = &mut self.slots[local as usize];
-        let fresh = !self.outbox.is_empty();
-        if fresh {
+    // lint:hot — every protocol message is encoded here.
+    fn flush_outbox(&mut self, local: usize, retry: bool) {
+        let slot = &mut self.slots[local];
+        if !self.outbox.is_empty() {
             slot.last_frames_len = 0;
         }
         for (to, payload) in self.outbox.drain() {
@@ -421,47 +378,17 @@ impl<A: WireAggregate> Worker<A> {
                 entry.1.extend_from_slice(bytes);
                 slot.last_frames_len += 1;
             }
-            if self.faults.drop_frame(slot.id, to, slot.round) {
-                self.stats.injected_drops += 1;
-                continue;
-            }
-            let sock = to.index() % self.n_sockets;
-            let need = frame_len(bytes.len());
-            let buf = &mut self.out_bufs[sock];
-            if !buf.is_empty() && buf.len() + need > self.cfg.max_datagram {
-                let full = std::mem::replace(buf, self.spare.pop().unwrap_or_default());
-                self.ready.push((sock, full));
-                if self.out_frames[sock] > 1 {
-                    self.stats.batched_sends += 1;
-                }
-                self.out_frames[sock] = 0;
-            }
-            push_frame(&mut self.out_bufs[sock], to.0, slot.id.0, bytes);
-            self.out_frames[sock] += 1;
-            self.stats.frames_sent += 1;
+            self.out
+                .send(slot.id, to, self.round, bytes, &mut self.stats);
         }
-        if retry && !slot.proto.is_done() && slot.last_frames_len > 0 {
-            for i in 0..slot.last_frames_len {
-                let (to, ref bytes) = slot.last_frames[i];
-                if self.faults.drop_frame(slot.id, MemberId(to), slot.round) {
-                    self.stats.injected_drops += 1;
-                    continue;
+        if retry && !slot.proto.is_done() {
+            for (to, bytes) in &slot.last_frames[..slot.last_frames_len] {
+                if self
+                    .out
+                    .send(slot.id, MemberId(*to), self.round, bytes, &mut self.stats)
+                {
+                    self.stats.retries += 1;
                 }
-                let sock = to as usize % self.n_sockets;
-                let need = frame_len(bytes.len());
-                let buf = &mut self.out_bufs[sock];
-                if !buf.is_empty() && buf.len() + need > self.cfg.max_datagram {
-                    let full = std::mem::replace(buf, self.spare.pop().unwrap_or_default());
-                    self.ready.push((sock, full));
-                    if self.out_frames[sock] > 1 {
-                        self.stats.batched_sends += 1;
-                    }
-                    self.out_frames[sock] = 0;
-                }
-                push_frame(&mut self.out_bufs[sock], to, slot.id.0, bytes);
-                self.out_frames[sock] += 1;
-                self.stats.frames_sent += 1;
-                self.stats.retries += 1;
             }
         }
     }
@@ -470,40 +397,15 @@ impl<A: WireAggregate> Worker<A> {
     /// reorder pocket, and put it on the wire.
     // lint:hot — one call per wakeup; sends the whole coalesced batch.
     fn flush_ready(&mut self) {
-        for sock in 0..self.n_sockets {
-            if self.out_bufs[sock].is_empty() {
-                continue;
-            }
-            let full = std::mem::replace(
-                &mut self.out_bufs[sock],
-                self.spare.pop().unwrap_or_default(),
-            );
-            self.ready.push((sock, full));
-            if self.out_frames[sock] > 1 {
-                self.stats.batched_sends += 1;
-            }
-            self.out_frames[sock] = 0;
-        }
-        if self.ready.is_empty() {
-            return;
-        }
-        for (sock, bytes) in self.ready.drain(..) {
-            let dest = self.addrs[sock];
-            if self.faults.sequence(dest, bytes, &mut self.wire) {
-                self.stats.reordered += 1;
-            }
-        }
-        self.faults.flush_pocket(&mut self.wire);
-        let mut wire = std::mem::take(&mut self.wire);
+        self.out.seal_all(&mut self.stats);
+        let mut wire = std::mem::take(&mut self.out.wire);
         let mut since_drain = 0u64;
         for (dest, bytes) in wire.drain(..) {
             self.stats.datagrams_sent += 1;
             self.stats.bytes_sent += bytes.len() as u64;
             since_drain += bytes.len() as u64;
             let _ = self.sockets[0].1.send_to(&bytes, dest);
-            let mut recycled = bytes;
-            recycled.clear();
-            self.spare.push(recycled);
+            self.out.recycle(bytes);
             // Backpressure: reading our own sockets mid-burst stops the
             // kernel receive queues from overflowing (see
             // DRAIN_EVERY_BYTES). Received frames wait in mailboxes for
@@ -513,14 +415,101 @@ impl<A: WireAggregate> Worker<A> {
                 self.drain_sockets();
             }
         }
-        self.wire = wire;
+        self.out.wire = wire;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::FRAME_HEADER_LEN;
+    use crate::endpoint::EndpointPool;
+    use gridagg_aggregate::Average;
+    use gridagg_core::hiergossip::HierGossipConfig;
+    use gridagg_core::scope::ScopeIndex;
+    use gridagg_group::view::View;
+    use gridagg_hierarchy::{FairHashPlacement, Hierarchy};
+
+    /// A one-socket worker over members `0..n`, epoch now, and the
+    /// receiving end of its outcome channel.
+    fn worker(
+        n: u32,
+        cfg: RuntimeConfig,
+    ) -> (Worker<Average>, mpsc::Receiver<MemberOutcome<Average>>) {
+        let h = Hierarchy::for_group(4, n as usize).expect("shape");
+        let index = ScopeIndex::build(&View::complete(n as usize), &FairHashPlacement::new(h, 9));
+        let proto =
+            |i| HierGossip::new(MemberId(i), 1.0, index.clone(), HierGossipConfig::default());
+        let members = (0..n).map(|i| (MemberId(i), proto(i))).collect();
+        let pool = EndpointPool::bind(1).expect("bind");
+        let (addrs, sockets) = (pool.addrs(), pool.split(1).remove(0));
+        let (tx, rx) = mpsc::channel();
+        let (rng, stop) = (DetRng::seeded(1), Arc::new(AtomicBool::new(false)));
+        let w = Worker::new(
+            0,
+            sockets,
+            addrs,
+            members,
+            n,
+            cfg,
+            Instant::now(),
+            &rng,
+            tx,
+            stop,
+        );
+        (w, rx)
+    }
+
+    #[test]
+    fn round_clock_steps_live_members_once_per_pass_in_order() {
+        // Members report at the first round, then linger three more.
+        let cfg = RuntimeConfig {
+            max_rounds: 1,
+            linger_rounds: 3,
+            ..Default::default()
+        };
+        let interval = cfg.round_interval;
+        let (mut w, rx) = worker(8, cfg);
+        let epoch = w.epoch;
+        w.tick_due(epoch + interval / 2);
+        assert_eq!(w.round, 0, "a pass before the deadline advances nothing");
+        w.slots[5].retired = true;
+        w.live -= 1;
+        // Ten rounds late: the past deadline fires on the next pass, and
+        // each pass advances exactly one round.
+        let late = epoch + interval * 10;
+        for round in 1..=10 {
+            w.tick_due(late);
+            assert_eq!(w.round, round);
+            assert_eq!(w.live, if round <= 4 { 7 } else { 0 }, "round {round}");
+        }
+        w.tick_due(late);
+        assert_eq!(w.round, 10, "round 11 is not due yet");
+        let reported: Vec<u32> = rx.try_iter().map(|o| o.member.0).collect();
+        assert_eq!(
+            reported,
+            [0, 1, 2, 3, 4, 6, 7],
+            "ascending, retired skipped"
+        );
+    }
+
+    #[test]
+    fn retries_count_only_frames_that_survive_loss() {
+        for loss in [0.0, 1.0] {
+            let (mut w, _rx) = worker(8, RuntimeConfig::default().with_uniform_loss(loss));
+            w.tick_due(w.epoch + w.cfg.round_interval);
+            let cached = w.slots[0].last_frames_len as u64;
+            assert!(cached > 0 && !w.slots[0].proto.is_done());
+            let before = w.stats;
+            w.flush_outbox(0, true);
+            let resent = if loss == 0.0 { cached } else { 0 };
+            assert_eq!(w.stats.retries, resent);
+            assert_eq!(w.stats.frames_sent - before.frames_sent, resent);
+            assert_eq!(
+                w.stats.injected_drops - before.injected_drops,
+                cached - resent
+            );
+        }
+    }
 
     #[test]
     fn worker_stats_merge_adds_and_maxes() {
@@ -539,11 +528,5 @@ mod tests {
         assert_eq!(a.datagrams_sent, 7);
         assert_eq!(a.mailbox_high_water, 5);
         assert_eq!(a.frames_recv, 9);
-    }
-
-    #[test]
-    fn frame_header_constant_matches_format() {
-        // dst u32 + src u32 + len u16
-        assert_eq!(FRAME_HEADER_LEN, 4 + 4 + 2);
     }
 }
