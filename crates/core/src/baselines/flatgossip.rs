@@ -6,9 +6,10 @@
 //! messages, so coverage per vote collapses as `N` grows — the
 //! quantitative argument for the hierarchy.
 
+use std::collections::BTreeSet;
+
 use gridagg_aggregate::{Aggregate, Tagged};
 use gridagg_group::MemberId;
-use gridagg_simnet::detcol::DetSet;
 use gridagg_simnet::Round;
 
 use crate::message::Payload;
@@ -41,7 +42,7 @@ pub struct FlatGossip<A> {
     n: usize,
     cfg: FlatGossipConfig,
     known: Vec<(MemberId, f64)>,
-    have: DetSet<u32>,
+    have: BTreeSet<u32>,
     rounds: u32,
     done_at: Option<Round>,
     estimate: Option<Tagged<A>>,
@@ -52,7 +53,7 @@ pub struct FlatGossip<A> {
 impl<A: Aggregate> FlatGossip<A> {
     /// Create the instance for member `me` of a group of `n`.
     pub fn new(me: MemberId, vote: f64, n: usize, cfg: FlatGossipConfig) -> Self {
-        let mut have = DetSet::new();
+        let mut have = BTreeSet::new();
         have.insert(me.0);
         FlatGossip {
             me,
@@ -197,7 +198,7 @@ mod tests {
         let mut p: FlatGossip<Average> = FlatGossip::new(MemberId(4), 3.0, 10, cfg);
         let mut rng = DetRng::seeded(1);
         let mut out = Outbox::new();
-        let mut seen = DetSet::new();
+        let mut seen = BTreeSet::new();
         for round in 0..50 {
             let mut ctx = Ctx::new(round, &mut rng);
             p.on_round(&mut ctx, &mut out);

@@ -22,12 +22,12 @@
 //! rounds each (members retransmit within a phase to tolerate loss),
 //! then `depth + 1` downward dissemination steps of `phase_len` rounds.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use gridagg_aggregate::{Aggregate, Tagged};
 use gridagg_group::MemberId;
 use gridagg_hierarchy::{Addr, AddrInterner, AddrSlab};
-use gridagg_simnet::detcol::DetSet;
 use gridagg_simnet::rng::splitmix64;
 use gridagg_simnet::Round;
 
@@ -140,7 +140,7 @@ pub struct LeaderElection<A> {
     my_box: Addr,
     /// votes gathered as a box-committee member
     votes: Vec<(MemberId, f64)>,
-    have_vote: DetSet<u32>,
+    have_vote: BTreeSet<u32>,
     /// child-subtree aggregates gathered as a committee member, in a
     /// dense chain-local slab (every key is a prefix of `my_box` or a
     /// child of one — O(1) slot lookups, address-ordered iteration)
@@ -162,7 +162,7 @@ impl<A: Aggregate> LeaderElection<A> {
         cfg: LeaderElectionConfig,
     ) -> Self {
         let my_box = index.box_of(me);
-        let mut have_vote = DetSet::new();
+        let mut have_vote = BTreeSet::new();
         have_vote.insert(me.0);
         LeaderElection {
             me,

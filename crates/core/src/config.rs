@@ -110,8 +110,6 @@ pub struct ExperimentConfig {
     pub pf: f64,
     /// Step 2(b) early bump-up.
     pub early_bump: bool,
-    /// Early phase-1 exit when all box votes are known.
-    pub phase1_early_exit: bool,
     /// Use the topologically-aware placement over a uniform 2-D field
     /// instead of the fair hash.
     pub topo_aware: bool,
@@ -172,7 +170,6 @@ impl Default for ExperimentConfig {
             partl: None,
             pf: 0.001,
             early_bump: true,
-            phase1_early_exit: false,
             topo_aware: false,
             positioned: false,
             bandwidth_cap: None,
@@ -200,7 +197,6 @@ impl ToJson for ExperimentConfig {
             ("partl".into(), self.partl.to_json()),
             ("pf".into(), self.pf.to_json()),
             ("early_bump".into(), self.early_bump.to_json()),
-            ("phase1_early_exit".into(), self.phase1_early_exit.to_json()),
             ("topo_aware".into(), self.topo_aware.to_json()),
             ("positioned".into(), self.positioned.to_json()),
             ("bandwidth_cap".into(), self.bandwidth_cap.to_json()),
@@ -227,7 +223,8 @@ impl FromJson for ExperimentConfig {
             partl: opt_field(value, "partl")?,
             pf: field(value, "pf")?,
             early_bump: field(value, "early_bump")?,
-            phase1_early_exit: field(value, "phase1_early_exit")?,
+            // older configs also carry `"phase1_early_exit": false`, a
+            // removed knob; like any unknown key it is ignored
             topo_aware: field(value, "topo_aware")?,
             positioned: field(value, "positioned")?,
             bandwidth_cap: opt_field(value, "bandwidth_cap")?,
@@ -295,7 +292,6 @@ impl ExperimentConfig {
             round_factor: self.round_factor,
             rounds_per_phase: self.rounds_per_phase,
             early_bump: self.early_bump,
-            phase1_early_exit: self.phase1_early_exit,
             phase_trace: self.phase_trace,
             exchange: if self.batch_exchange {
                 crate::hiergossip::Exchange::Batch
@@ -446,7 +442,8 @@ mod tests {
     #[test]
     fn config_reads_previously_recorded_serde_layout() {
         // the exact text serde-derive wrote for the defaults in earlier
-        // revisions (see results/*.config.json) must keep parsing
+        // revisions must keep parsing, removed `phase1_early_exit` key
+        // included
         let recorded = r#"{"n":200,"k":4,"fanout":2,"round_factor":1.0,
             "rounds_per_phase":null,"ucastl":0.25,"partl":null,"pf":0.001,
             "early_bump":true,"phase1_early_exit":false,"topo_aware":false,

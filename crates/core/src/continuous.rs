@@ -27,7 +27,7 @@
 //! 3. Each epoch runs one aggregation over the members that are up at
 //!    epoch start, under a *within-epoch* failure model that may
 //!    include recovery ([`MembershipProcess::within_epoch_model`] maps
-//!    `(pf, pr)` to [`FailureModel::PerRoundWithRecovery`] when both
+//!    `(pf, pr)` to `FailureModel::PerRoundWithRecovery` when both
 //!    are positive — the first runner to reach that model).
 //! 4. Between epochs the view heals: the hierarchy (or overlay) is
 //!    re-derived over the *current* up-membership, so recovered and
@@ -51,7 +51,7 @@
 //! `gridagg-bench` is apples-to-apples.
 
 use gridagg_aggregate::{Aggregate, Average};
-use gridagg_group::failure::{FailureModel, FailureProcess};
+use gridagg_group::failure::FailureProcess;
 use gridagg_group::membership::{ChurnModel, MembershipEvent, MembershipProcess};
 use gridagg_group::view::View;
 use gridagg_group::{MemberId, VoteDistribution};
@@ -145,7 +145,7 @@ pub struct ContinuousOptions {
     pub votes: VoteProcess,
     /// Within-epoch per-round recovery probability (`pr`). With the
     /// hiergossip driver, `pf > 0` and `pr > 0` select
-    /// [`FailureModel::PerRoundWithRecovery`]; `pr = 0` keeps the
+    /// `FailureModel::PerRoundWithRecovery`; `pr = 0` keeps the
     /// paper's crash-without-recovery model.
     pub recovery: f64,
     /// Flow-Updating parameters (ignored by the hiergossip driver).
@@ -541,11 +541,7 @@ fn run_fu_epoch(
     // within-epoch crashes only; recoveries happen between epochs via
     // the churn model (a mid-epoch rejoin over the persistent overlay
     // would silently resurrect stale flows)
-    let model = if cfg.pf > 0.0 {
-        FailureModel::PerRound { pf: cfg.pf }
-    } else {
-        FailureModel::None
-    };
+    let model = MembershipProcess::within_epoch_model(cfg.pf, 0.0);
     let failure = FailureProcess::with_liveness(model, was_up.clone(), epoch_seed);
     let moved = std::mem::take(protocols);
     let (run, returned) = Simulation::new(
@@ -593,6 +589,7 @@ fn run_fu_epoch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridagg_group::failure::FailureModel;
 
     fn base(n: usize) -> ExperimentConfig {
         let mut c = ExperimentConfig::paper_defaults()

@@ -56,10 +56,6 @@ pub struct HierGossipConfig {
     /// Step 2(b): bump up early once all child aggregates are known
     /// (paper simulations enable this; the analysis disables it).
     pub early_bump: bool,
-    /// Allow phase 1 to end early once votes from every box member are
-    /// known (requires a complete view; off by default, matching the
-    /// paper's fixed-length first phase).
-    pub phase1_early_exit: bool,
     /// Record a [`PhaseTrace`] entry at each phase end. Instrumentation
     /// only — recording never draws randomness or sends messages, so
     /// turning it off changes no protocol behavior — but the entries
@@ -99,7 +95,6 @@ impl Default for HierGossipConfig {
             round_factor: 1.0,
             rounds_per_phase: None,
             early_bump: true,
-            phase1_early_exit: false,
             phase_trace: true,
             exchange: Exchange::Batch,
         }
@@ -286,13 +281,10 @@ impl<A: Aggregate> HierGossip<A> {
         *self.index.hierarchy()
     }
 
-    /// Whether every expected component of the current phase is known.
+    /// Whether the aggregate of every nonempty child subtree of the
+    /// current phase's scope is known (meaningful from phase 2 on).
     fn phase_complete(&self) -> bool {
-        if self.phase == 1 {
-            self.known_votes.len() >= self.index.count_in(&self.my_box)
-        } else {
-            self.children.iter().all(|c| self.aggs.contains_key(c))
-        }
+        self.children.iter().all(|c| self.aggs.contains_key(c))
     }
 
     /// Votes covered by this member's current best aggregate: what it
@@ -411,7 +403,7 @@ impl<A: Aggregate> HierGossip<A> {
         // height-(i−1) subtree immediately after phase (i−1) concludes."
         // When a more complete evaluation of the same subtree was already
         // received from a faster peer, keep that one (see `upgrade`).
-        Self::upgrade(&mut self.aggs, self.scope, Arc::new(composed));
+        Self::upgrade(&mut self.aggs, self.scope, &Arc::new(composed));
 
         // the scope (and possibly `aggs`) just changed: both cached
         // gossip bodies are stale
@@ -527,16 +519,19 @@ impl<A: Aggregate> HierGossip<A> {
     /// cover only that subtree's members, so *replacing* (never merging)
     /// preserves the no-double-counting invariant while letting complete
     /// evaluations displace partial ones as they spread — the same
-    /// convergence rule Astrolabe-style systems use.
-    fn upgrade(aggs: &mut AddrSlab<Arc<Tagged<A>>>, key: Addr, agg: Arc<Tagged<A>>) {
+    /// convergence rule Astrolabe-style systems use. Returns whether the
+    /// slot changed; the stored `Arc` is shared with `agg`, never
+    /// deep-copied.
+    fn upgrade(aggs: &mut AddrSlab<Arc<Tagged<A>>>, key: Addr, agg: &Arc<Tagged<A>>) -> bool {
         match aggs.get_mut(&key) {
+            Some(existing) if agg.vote_count() <= existing.vote_count() => false,
             Some(existing) => {
-                if agg.vote_count() > existing.vote_count() {
-                    *existing = agg;
-                }
+                *existing = agg.clone();
+                true
             }
             None => {
-                aggs.insert(key, agg);
+                aggs.insert(key, agg.clone());
+                true
             }
         }
     }
@@ -581,22 +576,7 @@ impl<A: Aggregate> HierGossip<A> {
                  outside that subtree"
             );
         }
-        let changed = match self.aggs.get_mut(&subtree) {
-            None => {
-                self.aggs.insert(subtree, agg.clone());
-                true
-            }
-            Some(existing) => {
-                // same replace-if-more-complete rule as `upgrade`; the
-                // vote count changes exactly when the entry does
-                if agg.vote_count() > existing.vote_count() {
-                    *existing = agg.clone();
-                    true
-                } else {
-                    false
-                }
-            }
-        };
+        let changed = Self::upgrade(&mut self.aggs, subtree, agg);
         if changed {
             self.agg_batch = None; // cached gossip body is stale
         }
@@ -702,12 +682,9 @@ impl<A: Aggregate> AggregationProtocol<A> for HierGossip<A> {
         if self.done_at.is_some() {
             return;
         }
-        // Step 2(b): bump up as soon as the phase is complete.
-        let early_ok = if self.phase == 1 {
-            self.cfg.phase1_early_exit
-        } else {
-            self.cfg.early_bump
-        };
+        // Step 2(b): bump up as soon as the phase is complete. Phase 1
+        // always runs its full round budget, as in the paper.
+        let early_ok = self.phase != 1 && self.cfg.early_bump;
         while self.done_at.is_none() && early_ok && self.phase_complete() {
             let me = self.me;
             let round = ctx.round;
@@ -719,9 +696,6 @@ impl<A: Aggregate> AggregationProtocol<A> for HierGossip<A> {
             });
             self.finish_phase(ctx.round);
             self.emit_phase_transition(ctx);
-            if !self.cfg.early_bump {
-                break;
-            }
         }
         if self.done_at.is_some() {
             return;
@@ -994,62 +968,62 @@ mod tests {
 
     #[test]
     fn early_bump_skips_waiting() {
-        // With phase1_early_exit and a singleton box the member finishes
-        // phase 1 immediately; with all child aggregates present it
-        // cascades upward.
-        let idx = index(4, 2); // depth 1, 2 boxes, 2 phases
+        // Phase 1 runs its full round budget even with the whole box
+        // known; once every sibling aggregate is known, one round
+        // cascades phase 2 → phase 3 → done.
+        let idx = index(8, 2); // depth 2, 4 boxes, 3 phases
         let me = MemberId(0);
         let cfg = HierGossipConfig {
-            phase1_early_exit: true,
+            rounds_per_phase: Some(3),
             ..Default::default()
         };
         let mut p: HierGossip<Average> = HierGossip::new(me, 1.0, idx.clone(), cfg);
-        // hand it the sibling box aggregate straight away
         let my_box = idx.box_of(me);
-        let sibling = my_box
-            .parent()
-            .unwrap()
-            .children()
-            .find(|c| *c != my_box)
-            .unwrap();
-        // fill in my box votes
         let mut rng = ctx_rng();
         let mut out = Outbox::new();
         let mut ctx = Ctx::new(0, &mut rng);
         for &m in idx.members_in(&my_box) {
             if m != me {
-                p.on_message(
-                    m,
-                    Payload::Vote {
-                        member: m,
-                        value: 2.0,
-                    },
-                    &mut ctx,
-                    &mut out,
-                );
+                let vote = Payload::Vote {
+                    member: m,
+                    value: 2.0,
+                };
+                p.on_message(m, vote, &mut ctx, &mut out);
             }
         }
-        if idx.count_in(&sibling) > 0 {
-            let mut sib_agg = Tagged::<Average>::empty(4);
-            for &m in idx.members_in(&sibling) {
-                sib_agg
-                    .try_merge(&Tagged::from_vote(m.index(), 3.0, 4))
-                    .unwrap();
-            }
-            p.on_message(
-                MemberId(1),
-                Payload::Agg {
-                    subtree: sibling,
-                    agg: Arc::new(sib_agg),
-                },
-                &mut ctx,
-                &mut out,
-            );
+        for round in 0..3 {
+            assert_eq!(p.phase, 1, "phase 1 ended early at round {round}");
+            let mut ctx = Ctx::new(round, &mut rng);
+            p.on_round(&mut ctx, &mut out);
+            out.drain().for_each(drop);
         }
-        let mut ctx = Ctx::new(0, &mut rng);
+        assert_eq!(p.phase, 2);
+        // hand in the sibling aggregates of both levels
+        let mut ctx = Ctx::new(2, &mut rng);
+        let mut level = my_box;
+        while let Some(parent) = level.parent() {
+            for sibling in parent.children().filter(|c| *c != level) {
+                let mut agg = Tagged::<Average>::empty(8);
+                for &m in idx.members_in(&sibling) {
+                    agg.try_merge(&Tagged::from_vote(m.index(), 3.0, 8))
+                        .unwrap();
+                }
+                if agg.vote_count() > 0 {
+                    let payload = Payload::Agg {
+                        subtree: sibling,
+                        agg: Arc::new(agg),
+                    };
+                    p.on_message(MemberId(1), payload, &mut ctx, &mut out);
+                }
+            }
+            level = parent;
+        }
+        let mut ctx = Ctx::new(3, &mut rng);
         p.on_round(&mut ctx, &mut out);
         assert!(p.is_done(), "early bump should cascade to completion");
-        assert_eq!(p.estimate().unwrap().vote_count(), 4);
+        let ends: Vec<(usize, Round)> = p.trace.iter().map(|t| (t.phase, t.at)).collect();
+        assert_eq!(ends, vec![(1, 2), (2, 3), (3, 3)]);
+        assert_eq!(p.estimate().unwrap().vote_count(), 8);
     }
 
     #[test]

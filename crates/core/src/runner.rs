@@ -1,15 +1,22 @@
-//! One-call run functions: config + seed → [`RunReport`].
+//! Simulator assembly: config + seed → [`Simulation`] → [`RunReport`].
 //!
-//! Each function assembles the full stack — group, placement, scope
-//! index, lossy network, failure process, protocol instances — and runs
-//! it to completion. These are the entry points used by the examples and
-//! the figure-regeneration binaries.
+//! One private `assemble` builds what every protocol shares, in one
+//! fixed order: it validates the config, builds the group, asks the
+//! protocol for its instances and round cap, then adds the lossy
+//! network, the within-epoch failure process and the ground truth. All
+//! five protocols of the §7 comparison therefore run under one fault
+//! model by construction. A public `*_sim` builder per protocol supplies
+//! only its instances and round cap, and the matching `run_*` function
+//! runs the built simulation to completion. These are the entry points
+//! used by the examples and the figure-regeneration binaries; to record
+//! a run, call `run_with(&mut RunTrace::for_group(n))` on a builder's
+//! simulation instead of `run()`.
 
 use std::sync::Arc;
 
 use gridagg_aggregate::wire::WireAggregate;
-use gridagg_aggregate::Aggregate;
-use gridagg_group::failure::{FailureModel, FailureProcess};
+use gridagg_group::failure::FailureProcess;
+use gridagg_group::membership::MembershipProcess;
 use gridagg_group::view::View;
 use gridagg_group::{Group, GroupBuilder};
 use gridagg_hierarchy::{FairHashPlacement, Hierarchy, TopologicalPlacement};
@@ -25,8 +32,8 @@ use crate::config::ExperimentConfig;
 use crate::engine::Simulation;
 use crate::hiergossip::HierGossip;
 use crate::metrics::RunReport;
+use crate::protocol::AggregationProtocol;
 use crate::scope::ScopeIndex;
-use crate::trace::RunTrace;
 
 /// Build the group for a config (positions included when the config
 /// needs topology awareness).
@@ -67,15 +74,6 @@ pub(crate) fn network_config_for(
     net_cfg
 }
 
-/// Build the network for a config.
-fn build_network<A: WireAggregate>(
-    cfg: &ExperimentConfig,
-    group: &Group,
-    seed: u64,
-) -> SimNetwork<crate::message::Payload<A>> {
-    SimNetwork::new(network_config_for(cfg, group.positions()), seed)
-}
-
 /// Build the scope index (fair hash or topologically aware placement).
 fn build_index(cfg: &ExperimentConfig, group: &Group, seed: u64) -> Arc<ScopeIndex> {
     let hierarchy = Hierarchy::for_group(cfg.k, cfg.n_estimate.unwrap_or(cfg.n))
@@ -91,89 +89,103 @@ fn build_index(cfg: &ExperimentConfig, group: &Group, seed: u64) -> Arc<ScopeInd
     }
 }
 
-fn failure(cfg: &ExperimentConfig, seed: u64) -> FailureProcess {
-    let model = if cfg.pf > 0.0 {
-        FailureModel::PerRound { pf: cfg.pf }
-    } else {
-        FailureModel::None
-    };
-    FailureProcess::new(model, cfg.n, seed)
+/// Assemble one run: validate `cfg`, build the group, take the protocol
+/// instances and round cap from `protocols`, then add the network, the
+/// per-round crash process and the group's true aggregate.
+fn assemble<A, P>(
+    cfg: &ExperimentConfig,
+    seed: u64,
+    protocols: impl FnOnce(&Group) -> (Vec<P>, u64),
+) -> Simulation<A, P>
+where
+    A: WireAggregate,
+    P: AggregationProtocol<A> + Send,
+{
+    cfg.validate().expect("invalid experiment config");
+    let group = build_group_for(cfg, seed);
+    let (protocols, max_rounds) = protocols(&group);
+    let net = SimNetwork::new(network_config_for(cfg, group.positions()), seed);
+    let model = MembershipProcess::within_epoch_model(cfg.pf, 0.0);
+    let failure = FailureProcess::new(model, cfg.n, seed);
+    let truth = group.true_aggregate::<A>().summary();
+    Simulation::new(net, protocols, failure, seed, truth, max_rounds)
+        .with_engine_jobs(cfg.engine_jobs)
 }
 
-fn truth<A: Aggregate>(group: &Group) -> f64 {
-    group.true_aggregate::<A>().summary()
+/// Assemble the **Hierarchical Gossiping** protocol (the paper's §6.3
+/// contribution), with partial views and staggered starts when `cfg`
+/// asks for them.
+///
+/// # Panics
+///
+/// Panics if `cfg` fails [`ExperimentConfig::validate`].
+pub fn hiergossip_sim<A: WireAggregate>(
+    cfg: &ExperimentConfig,
+    seed: u64,
+) -> Simulation<A, HierGossip<A>> {
+    let sim = assemble(cfg, seed, |group| {
+        let index = build_index(cfg, group, seed);
+        let mut view_rng = gridagg_simnet::rng::DetRng::seeded(seed).fork(0x7669_6577); // "view"
+        let protocols = group
+            .members()
+            .iter()
+            .map(|m| {
+                let p = HierGossip::new(m.id, m.vote, index.clone(), cfg.hier_config());
+                match cfg.partial_view {
+                    Some(size) => {
+                        let view = View::sampled(m.id, cfg.n, size, &mut view_rng);
+                        p.with_view(view.members().to_vec())
+                    }
+                    None => p,
+                }
+            })
+            .collect();
+        (protocols, cfg.max_rounds())
+    });
+    match cfg.start_spread {
+        Some(spread) => {
+            let mut start_rng = gridagg_simnet::rng::DetRng::seeded(seed).fork(0x7374_6172); // "star"
+            let starts = (0..cfg.n)
+                .map(|_| start_rng.below(spread.max(1) as usize) as u64)
+                .collect();
+            sim.with_start_rounds(starts)
+        }
+        None => sim,
+    }
 }
 
-/// Run the **Hierarchical Gossiping** protocol (the paper's §6.3
-/// contribution) once.
+/// Run [`hiergossip_sim`] once.
 ///
 /// # Panics
 ///
 /// Panics if `cfg` fails [`ExperimentConfig::validate`].
 pub fn run_hiergossip<A: WireAggregate>(cfg: &ExperimentConfig, seed: u64) -> RunReport {
-    build_hiergossip_sim::<A>(cfg, seed).run()
+    hiergossip_sim::<A>(cfg, seed).run()
 }
 
-/// Run hierarchical gossip once with an in-memory [`RunTrace`] recorder
-/// attached, returning both the report and the collected trace. The
-/// report is identical to what [`run_hiergossip`] returns for the same
-/// `(cfg, seed)` — tracing observes the run without perturbing it.
+/// Assemble the §4 fully distributed (flood) baseline.
 ///
 /// # Panics
 ///
-/// Panics if `cfg` fails [`ExperimentConfig::validate`].
-pub fn run_hiergossip_traced<A: WireAggregate>(
+/// Panics if `cfg` fails validation.
+pub fn flood_sim<A: WireAggregate>(
     cfg: &ExperimentConfig,
+    flood_cfg: FloodConfig,
     seed: u64,
-) -> (RunReport, RunTrace) {
-    let mut trace = RunTrace::for_group(cfg.n);
-    let report = build_hiergossip_sim::<A>(cfg, seed).run_with(&mut trace);
-    (report, trace)
-}
-
-fn build_hiergossip_sim<A: WireAggregate>(
-    cfg: &ExperimentConfig,
-    seed: u64,
-) -> Simulation<A, HierGossip<A>> {
-    cfg.validate().expect("invalid experiment config");
-    let group = build_group_for(cfg, seed);
-    let index = build_index(cfg, &group, seed);
-    let mut view_rng = gridagg_simnet::rng::DetRng::seeded(seed).fork(0x7669_6577); // "view"
-    let protocols: Vec<HierGossip<A>> = group
-        .members()
-        .iter()
-        .map(|m| {
-            let p = HierGossip::new(m.id, m.vote, index.clone(), cfg.hier_config());
-            match cfg.partial_view {
-                Some(size) => {
-                    let view = View::sampled(m.id, cfg.n, size, &mut view_rng);
-                    p.with_view(view.members().to_vec())
-                }
-                None => p,
-            }
-        })
-        .collect();
-    let net = build_network::<A>(cfg, &group, seed);
-    let mut sim = Simulation::new(
-        net,
-        protocols,
-        failure(cfg, seed),
-        seed,
-        truth::<A>(&group),
-        cfg.max_rounds(),
-    )
-    .with_engine_jobs(cfg.engine_jobs);
-    if let Some(spread) = cfg.start_spread {
-        let mut start_rng = gridagg_simnet::rng::DetRng::seeded(seed).fork(0x7374_6172); // "star"
-        let starts = (0..cfg.n)
-            .map(|_| start_rng.below(spread.max(1) as usize) as u64)
+) -> Simulation<A, Flood<A>> {
+    assemble(cfg, seed, |group| {
+        let protocols = group
+            .members()
+            .iter()
+            .map(|m| Flood::new(m.id, m.vote, cfg.n, flood_cfg))
             .collect();
-        sim = sim.with_start_rounds(starts);
-    }
-    sim
+        let per_round = flood_cfg.per_round.max(1) as u64;
+        let max_rounds = (cfg.n as u64).div_ceil(per_round) + flood_cfg.grace as u64 + 8;
+        (protocols, max_rounds)
+    })
 }
 
-/// Run the §4 fully distributed (flood) baseline once.
+/// Run [`flood_sim`] once.
 ///
 /// # Panics
 ///
@@ -183,51 +195,30 @@ pub fn run_flood<A: WireAggregate>(
     flood_cfg: FloodConfig,
     seed: u64,
 ) -> RunReport {
-    build_flood_sim::<A>(cfg, flood_cfg, seed).run()
+    flood_sim::<A>(cfg, flood_cfg, seed).run()
 }
 
-/// [`run_flood`] with an in-memory [`RunTrace`] recorder attached.
+/// Assemble the §5 centralized-leader baseline.
 ///
 /// # Panics
 ///
 /// Panics if `cfg` fails validation.
-pub fn run_flood_traced<A: WireAggregate>(
+pub fn centralized_sim<A: WireAggregate>(
     cfg: &ExperimentConfig,
-    flood_cfg: FloodConfig,
+    central_cfg: CentralizedConfig,
     seed: u64,
-) -> (RunReport, RunTrace) {
-    let mut trace = RunTrace::for_group(cfg.n);
-    let report = build_flood_sim::<A>(cfg, flood_cfg, seed).run_with(&mut trace);
-    (report, trace)
+) -> Simulation<A, Centralized<A>> {
+    assemble(cfg, seed, |group| {
+        let protocols = group
+            .members()
+            .iter()
+            .map(|m| Centralized::new(m.id, m.vote, cfg.n, central_cfg))
+            .collect();
+        (protocols, central_cfg.deadline(cfg.n) + 8)
+    })
 }
 
-fn build_flood_sim<A: WireAggregate>(
-    cfg: &ExperimentConfig,
-    flood_cfg: FloodConfig,
-    seed: u64,
-) -> Simulation<A, Flood<A>> {
-    cfg.validate().expect("invalid experiment config");
-    let group = build_group_for(cfg, seed);
-    let protocols: Vec<Flood<A>> = group
-        .members()
-        .iter()
-        .map(|m| Flood::new(m.id, m.vote, cfg.n, flood_cfg))
-        .collect();
-    let net = build_network::<A>(cfg, &group, seed);
-    let max_rounds =
-        (cfg.n as u64).div_ceil(flood_cfg.per_round.max(1) as u64) + flood_cfg.grace as u64 + 8;
-    Simulation::new(
-        net,
-        protocols,
-        failure(cfg, seed),
-        seed,
-        truth::<A>(&group),
-        max_rounds,
-    )
-    .with_engine_jobs(cfg.engine_jobs)
-}
-
-/// Run the §5 centralized-leader baseline once.
+/// Run [`centralized_sim`] once.
 ///
 /// # Panics
 ///
@@ -237,50 +228,33 @@ pub fn run_centralized<A: WireAggregate>(
     central_cfg: CentralizedConfig,
     seed: u64,
 ) -> RunReport {
-    build_centralized_sim::<A>(cfg, central_cfg, seed).run()
+    centralized_sim::<A>(cfg, central_cfg, seed).run()
 }
 
-/// [`run_centralized`] with an in-memory [`RunTrace`] recorder attached.
+/// Assemble the §6.2 hierarchical leader-election baseline.
 ///
 /// # Panics
 ///
 /// Panics if `cfg` fails validation.
-pub fn run_centralized_traced<A: WireAggregate>(
+pub fn leader_election_sim<A: WireAggregate>(
     cfg: &ExperimentConfig,
-    central_cfg: CentralizedConfig,
+    le_cfg: LeaderElectionConfig,
     seed: u64,
-) -> (RunReport, RunTrace) {
-    let mut trace = RunTrace::for_group(cfg.n);
-    let report = build_centralized_sim::<A>(cfg, central_cfg, seed).run_with(&mut trace);
-    (report, trace)
+) -> Simulation<A, LeaderElection<A>> {
+    assemble(cfg, seed, |group| {
+        let index = build_index(cfg, group, seed);
+        let directory = LeaderDirectory::build(&index, &le_cfg);
+        let protocols: Vec<LeaderElection<A>> = group
+            .members()
+            .iter()
+            .map(|m| LeaderElection::new(m.id, m.vote, index.clone(), directory.clone(), le_cfg))
+            .collect();
+        let max_rounds = protocols[0].schedule_rounds() + 8;
+        (protocols, max_rounds)
+    })
 }
 
-fn build_centralized_sim<A: WireAggregate>(
-    cfg: &ExperimentConfig,
-    central_cfg: CentralizedConfig,
-    seed: u64,
-) -> Simulation<A, Centralized<A>> {
-    cfg.validate().expect("invalid experiment config");
-    let group = build_group_for(cfg, seed);
-    let protocols: Vec<Centralized<A>> = group
-        .members()
-        .iter()
-        .map(|m| Centralized::new(m.id, m.vote, cfg.n, central_cfg))
-        .collect();
-    let net = build_network::<A>(cfg, &group, seed);
-    let max_rounds = central_cfg.deadline(cfg.n) + 8;
-    Simulation::new(
-        net,
-        protocols,
-        failure(cfg, seed),
-        seed,
-        truth::<A>(&group),
-        max_rounds,
-    )
-    .with_engine_jobs(cfg.engine_jobs)
-}
-
-/// Run the §6.2 hierarchical leader-election baseline once.
+/// Run [`leader_election_sim`] once.
 ///
 /// # Panics
 ///
@@ -290,109 +264,49 @@ pub fn run_leader_election<A: WireAggregate>(
     le_cfg: LeaderElectionConfig,
     seed: u64,
 ) -> RunReport {
-    build_leader_sim::<A>(cfg, le_cfg, seed).run()
+    leader_election_sim::<A>(cfg, le_cfg, seed).run()
 }
 
-/// [`run_leader_election`] with an in-memory [`RunTrace`] recorder
-/// attached.
+/// Assemble the flat-gossip (no hierarchy) ablation, with the same
+/// round budget the hierarchical protocol would get.
 ///
 /// # Panics
 ///
 /// Panics if `cfg` fails validation.
-pub fn run_leader_election_traced<A: WireAggregate>(
+pub fn flatgossip_sim<A: WireAggregate>(
     cfg: &ExperimentConfig,
-    le_cfg: LeaderElectionConfig,
     seed: u64,
-) -> (RunReport, RunTrace) {
-    let mut trace = RunTrace::for_group(cfg.n);
-    let report = build_leader_sim::<A>(cfg, le_cfg, seed).run_with(&mut trace);
-    (report, trace)
+) -> Simulation<A, FlatGossip<A>> {
+    assemble(cfg, seed, |group| {
+        let hierarchy = Hierarchy::for_group(cfg.k, cfg.n).expect("validated");
+        let budget = hierarchy.phases() as u32 * cfg.hier_config().rounds_per_phase(cfg.n);
+        let fg_cfg = FlatGossipConfig {
+            fanout: cfg.fanout,
+            total_rounds: budget,
+        };
+        let protocols = group
+            .members()
+            .iter()
+            .map(|m| FlatGossip::new(m.id, m.vote, cfg.n, fg_cfg))
+            .collect();
+        (protocols, budget as u64 + 8)
+    })
 }
 
-fn build_leader_sim<A: WireAggregate>(
-    cfg: &ExperimentConfig,
-    le_cfg: LeaderElectionConfig,
-    seed: u64,
-) -> Simulation<A, LeaderElection<A>> {
-    cfg.validate().expect("invalid experiment config");
-    let group = build_group_for(cfg, seed);
-    let index = build_index(cfg, &group, seed);
-    let directory = LeaderDirectory::build(&index, &le_cfg);
-    let protocols: Vec<LeaderElection<A>> = group
-        .members()
-        .iter()
-        .map(|m| LeaderElection::new(m.id, m.vote, index.clone(), directory.clone(), le_cfg))
-        .collect();
-    let max_rounds = protocols[0].schedule_rounds() + 8;
-    let net = build_network::<A>(cfg, &group, seed);
-    Simulation::new(
-        net,
-        protocols,
-        failure(cfg, seed),
-        seed,
-        truth::<A>(&group),
-        max_rounds,
-    )
-    .with_engine_jobs(cfg.engine_jobs)
-}
-
-/// Run the flat-gossip (no hierarchy) ablation once, with the same round
-/// budget the hierarchical protocol would get.
+/// Run [`flatgossip_sim`] once.
 ///
 /// # Panics
 ///
 /// Panics if `cfg` fails validation.
 pub fn run_flatgossip<A: WireAggregate>(cfg: &ExperimentConfig, seed: u64) -> RunReport {
-    build_flatgossip_sim::<A>(cfg, seed).run()
-}
-
-/// [`run_flatgossip`] with an in-memory [`RunTrace`] recorder attached.
-///
-/// # Panics
-///
-/// Panics if `cfg` fails validation.
-pub fn run_flatgossip_traced<A: WireAggregate>(
-    cfg: &ExperimentConfig,
-    seed: u64,
-) -> (RunReport, RunTrace) {
-    let mut trace = RunTrace::for_group(cfg.n);
-    let report = build_flatgossip_sim::<A>(cfg, seed).run_with(&mut trace);
-    (report, trace)
-}
-
-fn build_flatgossip_sim<A: WireAggregate>(
-    cfg: &ExperimentConfig,
-    seed: u64,
-) -> Simulation<A, FlatGossip<A>> {
-    cfg.validate().expect("invalid experiment config");
-    let group = build_group_for(cfg, seed);
-    let hierarchy = Hierarchy::for_group(cfg.k, cfg.n).expect("validated");
-    let budget = hierarchy.phases() as u32 * cfg.hier_config().rounds_per_phase(cfg.n);
-    let fg_cfg = FlatGossipConfig {
-        fanout: cfg.fanout,
-        total_rounds: budget,
-    };
-    let protocols: Vec<FlatGossip<A>> = group
-        .members()
-        .iter()
-        .map(|m| FlatGossip::new(m.id, m.vote, cfg.n, fg_cfg))
-        .collect();
-    let net = build_network::<A>(cfg, &group, seed);
-    Simulation::new(
-        net,
-        protocols,
-        failure(cfg, seed),
-        seed,
-        truth::<A>(&group),
-        budget as u64 + 8,
-    )
-    .with_engine_jobs(cfg.engine_jobs)
+    flatgossip_sim::<A>(cfg, seed).run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::MemberOutcome;
+    use crate::trace::RunTrace;
     use gridagg_aggregate::Average;
 
     fn perfect(n: usize) -> ExperimentConfig {
@@ -487,15 +401,52 @@ mod tests {
     }
 
     #[test]
-    fn traced_runner_matches_plain_runner() {
+    fn builders_run_with_a_trace_match_plain_runners() {
         let cfg = ExperimentConfig::default().with_n(48);
-        let plain = run_hiergossip::<Average>(&cfg, 7);
-        let (traced, trace) = run_hiergossip_traced::<Average>(&cfg, 7);
-        assert_eq!(plain.rounds, traced.rounds);
-        assert_eq!(plain.net, traced.net);
-        assert_eq!(plain.outcomes, traced.outcomes);
-        assert!(!trace.is_empty());
-        assert_eq!(trace.group_size(), 48);
+        let seed = 7;
+        let central = CentralizedConfig::for_group(48);
+        let leader = LeaderElectionConfig::default();
+        type Traced<'a> = Box<dyn Fn(&mut RunTrace) -> RunReport + 'a>;
+        let cases: [(&str, RunReport, Traced); 5] = [
+            (
+                "hiergossip",
+                run_hiergossip::<Average>(&cfg, seed),
+                Box::new(|t| hiergossip_sim::<Average>(&cfg, seed).run_with(t)),
+            ),
+            (
+                "flatgossip",
+                run_flatgossip::<Average>(&cfg, seed),
+                Box::new(|t| flatgossip_sim::<Average>(&cfg, seed).run_with(t)),
+            ),
+            (
+                "flood",
+                run_flood::<Average>(&cfg, FloodConfig::default(), seed),
+                Box::new(|t| flood_sim::<Average>(&cfg, FloodConfig::default(), seed).run_with(t)),
+            ),
+            (
+                "centralized",
+                run_centralized::<Average>(&cfg, central, seed),
+                Box::new(|t| centralized_sim::<Average>(&cfg, central, seed).run_with(t)),
+            ),
+            (
+                "leader",
+                run_leader_election::<Average>(&cfg, leader, seed),
+                Box::new(|t| leader_election_sim::<Average>(&cfg, leader, seed).run_with(t)),
+            ),
+        ];
+        for (name, plain, with_trace) in cases {
+            let mut trace = RunTrace::for_group(cfg.n);
+            let traced = with_trace(&mut trace);
+            assert_eq!(plain.rounds, traced.rounds, "{name}: rounds");
+            assert_eq!(plain.net, traced.net, "{name}: network stats");
+            assert_eq!(plain.outcomes, traced.outcomes, "{name}: outcomes");
+            assert_eq!(
+                plain.protocol_steps, traced.protocol_steps,
+                "{name}: protocol steps"
+            );
+            assert!(!trace.is_empty(), "{name}: empty trace");
+            assert_eq!(trace.group_size(), 48, "{name}: trace group size");
+        }
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //!   (`core`, `simnet`, `hierarchy`, `group`, `aggregate`) outside
 //!   tests. Iteration order of the std hash collections is randomized
 //!   per process, which silently breaks the repo's byte-identical
-//!   golden-run guarantees. Use
-//!   `gridagg_simnet::detcol::{DetMap, DetSet}`.
+//!   golden-run guarantees. Use `BTreeMap`/`BTreeSet`.
 //! - **D002** — no wall-clock reads (`SystemTime::now`,
 //!   `Instant::now`), OS threading (`std::thread`), process state
 //!   (`std::process`, `std::env`) or entropy-seeded randomness outside
@@ -150,7 +149,7 @@ impl Rule {
     /// One-line human summary used in reports.
     pub fn summary(self) -> &'static str {
         match self {
-            Rule::D001 => "hash collection in protocol-state crate (use detcol::DetMap/DetSet)",
+            Rule::D001 => "hash collection in protocol-state crate (use BTreeMap/BTreeSet)",
             Rule::D002 => "wall clock / OS thread / process state outside runtime+bench",
             Rule::D003 => "panicking call in decode/on_* handler path",
             Rule::D004 => "bare `as` float<->int cast in aggregate math (use the conv module)",

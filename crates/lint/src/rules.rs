@@ -184,9 +184,7 @@ pub(crate) fn scan_file(
                     fire(
                         Rule::D001,
                         lineno,
-                        format!(
-                            "`{pat}` has per-process iteration order; use detcol::DetMap/DetSet"
-                        ),
+                        format!("`{pat}` has per-process iteration order; use BTreeMap/BTreeSet"),
                         &mut out,
                     );
                     break;

@@ -36,7 +36,6 @@
 #![warn(rustdoc::broken_intra_doc_links)]
 pub mod bitset;
 pub mod delay;
-pub mod detcol;
 pub mod loss;
 pub mod network;
 pub mod rng;

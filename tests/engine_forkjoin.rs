@@ -21,11 +21,10 @@ use gridagg_core::continuous::{
     run_continuous, ContinuousOptions, ContinuousProtocol, VoteProcess,
 };
 use gridagg_core::runner::{
-    run_centralized_traced, run_flatgossip_traced, run_flood_traced, run_hiergossip_traced,
-    run_leader_election_traced,
+    centralized_sim, flatgossip_sim, flood_sim, hiergossip_sim, leader_election_sim,
 };
 use gridagg_core::trace::RunTrace;
-use gridagg_core::RunReport;
+use gridagg_core::{AggregationProtocol, RunReport, Simulation};
 use gridagg_group::membership::ChurnModel;
 
 const THREADS: [usize; 2] = [2, 4];
@@ -39,6 +38,16 @@ fn cfg(n: usize, jobs: usize) -> ExperimentConfig {
     c.pf = 0.01;
     c.validate().expect("scenario config is valid");
     c
+}
+
+/// Run an assembled simulation with a full trace recorder attached.
+fn traced<P: AggregationProtocol<Average> + Send>(
+    cfg: &ExperimentConfig,
+    sim: Simulation<Average, P>,
+) -> (RunReport, RunTrace) {
+    let mut trace = RunTrace::for_group(cfg.n);
+    let report = sim.run_with(&mut trace);
+    (report, trace)
 }
 
 /// Compare two traced runs field-by-field. The trace comparison walks
@@ -78,16 +87,19 @@ fn all_protocols_byte_identical_across_engine_threads() {
     let seed = 41;
     type Traced = fn(&ExperimentConfig, u64) -> (RunReport, RunTrace);
     let protocols: [(&str, Traced); 5] = [
-        ("hiergossip", |c, s| run_hiergossip_traced::<Average>(c, s)),
-        ("flatgossip", |c, s| run_flatgossip_traced::<Average>(c, s)),
+        ("hiergossip", |c, s| traced(c, hiergossip_sim(c, s))),
+        ("flatgossip", |c, s| traced(c, flatgossip_sim(c, s))),
         ("flood", |c, s| {
-            run_flood_traced::<Average>(c, FloodConfig::default(), s)
+            traced(c, flood_sim(c, FloodConfig::default(), s))
         }),
         ("centralized", |c, s| {
-            run_centralized_traced::<Average>(c, CentralizedConfig::for_group(c.n), s)
+            traced(c, centralized_sim(c, CentralizedConfig::for_group(c.n), s))
         }),
         ("leader", |c, s| {
-            run_leader_election_traced::<Average>(c, LeaderElectionConfig::default(), s)
+            traced(
+                c,
+                leader_election_sim(c, LeaderElectionConfig::default(), s),
+            )
         }),
     ];
     for (name, run) in protocols {

@@ -13,7 +13,8 @@
 //! a last-ulp difference from a reordered fold fails loudly.
 
 use gridagg::core::baselines::{CentralizedConfig, FloodConfig, LeaderElectionConfig};
-use gridagg::core::runner::run_hiergossip_traced;
+use gridagg::core::runner::hiergossip_sim;
+use gridagg::core::trace::RunTrace;
 use gridagg::core::RunReport;
 use gridagg::prelude::*;
 
@@ -135,7 +136,8 @@ fn traced_hiergossip_matches_untraced_and_seed_trace_counts() {
     // counts.
     for (n, seed, events) in [(64usize, 3u64, 5207usize), (256, 7, 27706)] {
         let plain = run_hiergossip::<Average>(&cfg(n), seed);
-        let (traced, trace) = run_hiergossip_traced::<Average>(&cfg(n), seed);
+        let mut trace = RunTrace::for_group(n);
+        let traced = hiergossip_sim::<Average>(&cfg(n), seed).run_with(&mut trace);
         assert_eq!(plain.rounds, traced.rounds, "n={n}: rounds");
         assert_eq!(plain.net, traced.net, "n={n}: network stats");
         assert_eq!(plain.outcomes, traced.outcomes, "n={n}: outcomes");
@@ -165,7 +167,8 @@ fn event_driven_engine_trace_is_byte_identical() {
         (staggered, 29, 26266, 0x0ca8_1136_a6f6_e92b),
     ] {
         let n = config.n;
-        let (_, trace) = run_hiergossip_traced::<Average>(&config, seed);
+        let mut trace = RunTrace::for_group(n);
+        hiergossip_sim::<Average>(&config, seed).run_with(&mut trace);
         assert_eq!(trace.len(), events, "n={n}: trace event count");
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         for event in &trace.events {
